@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import qmc
 
 from . import decoder, grammar
@@ -26,6 +27,7 @@ JITTER_MIN = 1e-8
 JITTER_MAX = 1e-2
 N_ACQ_STARTS = 256
 N_ACQ_REFINE = 8
+PREDICT_BLOCK = N_ACQ_REFINE   # rows per BLAS call in gp_predict
 
 
 @dataclass(frozen=True)
@@ -80,20 +82,30 @@ def gp_fit(x: np.ndarray, y: np.ndarray,
             if jitter > JITTER_MAX:
                 raise
     mean = float(np.mean(y))
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y - mean))
+    alpha = cho_solve((chol, True), y - mean, check_finite=False)
     return GpModel(x, y, sigma_f, lengthscale, jitter, chol, alpha, mean)
 
 
 def gp_predict(model: GpModel, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation at the rows of xq.
+
+    The rows are padded to a multiple of PREDICT_BLOCK, so a call of up
+    to PREDICT_BLOCK rows always runs the same BLAS shapes.  BLAS orders
+    its arithmetic by the shapes and keeps rows apart, so each row's
+    result is the same, bit for bit, whichever rows share its call;
+    unpadded, a one-row solve and an eight-row solve differ in the last
+    bits, enough to flip a comparison in `propose_next`.
+    """
     xq = np.atleast_2d(np.asarray(xq, dtype=float))
+    n_q = len(xq)
     if model.y.size == 0:
-        return (np.full(len(xq), model.mean),
-                np.full(len(xq), model.sigma_f))
+        return np.full(n_q, model.mean), np.full(n_q, model.sigma_f)
+    xq = np.vstack([xq, np.zeros((-n_q % PREDICT_BLOCK, xq.shape[1]))])
     ks = _kernel(xq, model.x, model.sigma_f, model.lengthscale)
     mu = model.mean + ks @ model.alpha
-    v = np.linalg.solve(model.chol, ks.T)
+    v = solve_triangular(model.chol, ks.T, lower=True, check_finite=False)
     var = model.sigma_f ** 2 - (v ** 2).sum(axis=0)
-    return mu, np.sqrt(np.clip(var, 0.0, None))
+    return mu[:n_q], np.sqrt(np.clip(var[:n_q], 0.0, None))
 
 
 def ucb(model: GpModel, xq: np.ndarray,
@@ -104,31 +116,39 @@ def ucb(model: GpModel, xq: np.ndarray,
 
 def propose_next(model: GpModel, dim: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Maximize the acquisition: Sobol multistart plus coordinate descent."""
+    """Maximize the acquisition: Sobol multistart plus coordinate descent.
+
+    The best N_ACQ_REFINE of N_ACQ_STARTS Sobol points each start a
+    greedy coordinate descent: a sweep tries +step and -step on every
+    coordinate in turn and keeps each move that raises the score; a
+    sweep without a gain halves the step, and the descent stops once the
+    step is at most 1e-3.  All sweeps visit the same (coordinate, sign)
+    moves in the same order, so the descents run in lockstep: each move
+    scores every live start in one batched `ucb` call.  The winner is
+    the first start, in Sobol-score order, with the highest final score,
+    the point a one-start-at-a-time descent would return.
+    """
     sob = qmc.Sobol(dim, scramble=True, seed=rng)
     cands = sob.random(N_ACQ_STARTS)
     scores = ucb(model, cands)
     order = np.argsort(-scores, kind="stable")[:N_ACQ_REFINE]
-    best_x, best_s = None, -np.inf
-    for k in order:
-        x = cands[k].copy()
-        s = float(scores[k])
-        step = 0.1
-        while step > 1e-3:
-            improved = False
-            for d in range(dim):
-                for sign in (+1.0, -1.0):
-                    cand = x.copy()
-                    cand[d] = min(max(cand[d] + sign * step, 0.0), 1.0)
-                    sc = float(ucb(model, cand[None, :])[0])
-                    if sc > s:
-                        x, s = cand, sc
-                        improved = True
-            if not improved:
-                step *= 0.5
-        if s > best_s:
-            best_x, best_s = x, s
-    return best_x
+    xs, ss = cands[order], scores[order]
+    steps = np.full(len(order), 0.1)
+    live = np.arange(len(order))
+    while live.size:
+        improved = np.zeros(live.size, dtype=bool)
+        for d in range(dim):
+            for sign in (+1.0, -1.0):
+                cand = xs[live]
+                cand[:, d] = np.clip(cand[:, d] + sign * steps[live], 0.0, 1.0)
+                sc = ucb(model, cand)
+                up = sc > ss[live]
+                xs[live[up]] = cand[up]
+                ss[live[up]] = sc[up]
+                improved |= up
+        steps[live[~improved]] *= 0.5
+        live = live[steps[live] > 1e-3]
+    return xs[int(np.argmax(ss))]   # argmax keeps the first of equal maxima
 
 
 @dataclass
@@ -205,10 +225,15 @@ def optimize_parameters(graph: grammar.CycleGraph,
                         seed: int = 0,
                         eta: decoder.Efficiencies | None = None,
                         cache: "WorkerCache | None" = None) -> WorkerResult:
-    """Best continuous parameters for one structure, cached by shape."""
+    """Best continuous parameters for one structure, cached by shape.
+
+    The cache key holds the settings the result depends on: boundary
+    conditions, machine efficiencies, budget and seed (see WorkerCache).
+    """
     budget = budget or WorkerBudget()
+    settings = (eta, budget, seed)
     if cache is not None:
-        hit = cache.get(graph, bc)
+        hit = cache.get(graph, bc, *settings)
         if hit is not None:
             hit.cache_hit = True
             return hit
@@ -218,7 +243,7 @@ def optimize_parameters(graph: grammar.CycleGraph,
     except decoder.DecodeError:
         result = WorkerResult({}, PENALTY, False, 0)
         if cache is not None:
-            cache.put(graph, bc, result)
+            cache.put(graph, bc, result, *settings)
         return result
     specs = system.parameter_space()
     evaluate = penalized_objective(system, specs)
@@ -228,7 +253,7 @@ def optimize_parameters(graph: grammar.CycleGraph,
         obj, feas, perf, params = evaluate(np.empty(0))
         result = WorkerResult(params, perf if feas else PENALTY, feas, 1)
         if cache is not None:
-            cache.put(graph, bc, result)
+            cache.put(graph, bc, result, *settings)
         return result
 
     def objective(x: np.ndarray) -> float:
@@ -246,7 +271,7 @@ def optimize_parameters(graph: grammar.CycleGraph,
     else:
         result = WorkerResult({}, PENALTY, False, len(history), history)
     if cache is not None:
-        cache.put(graph, bc, result)
+        cache.put(graph, bc, result, *settings)
     return result
 
 
@@ -266,7 +291,16 @@ def export_evaluations_csv(result: WorkerResult, path) -> None:
 
 
 class WorkerCache:
-    """Keyed by canonical structure plus boundary conditions.
+    """Keyed by canonical structure plus the settings of the search.
+
+    The settings are the boundary conditions, the machine efficiencies,
+    the Worker budget and the seed; `None` stands for the defaults that
+    `optimize_parameters` applies.  The fluid is left out: a fluid
+    object carries no value to key on, and a wrapped or instrumented
+    fluid (a subclass that counts property calls, say) describes the
+    same properties as the fluid it wraps, so it must hit the same
+    entries.  Callers that change the fluid's properties use a cache of
+    their own.
 
     Optionally persists as append-only JSON lines, so interrupted runs
     resume without re-evaluating known structures.
@@ -288,19 +322,29 @@ class WorkerCache:
 
     @staticmethod
     def key_for(graph: grammar.CycleGraph,
-                bc: decoder.BoundaryConditions) -> str:
+                bc: decoder.BoundaryConditions,
+                eta: decoder.Efficiencies | None = None,
+                budget: WorkerBudget | None = None,
+                seed: int = 0) -> str:
+        eta = eta or decoder.Efficiencies()
+        budget = budget or WorkerBudget()
         return (f"{grammar.canonical_hex(graph)}|{bc.mode}"
                 f"|{bc.t_source:.6f}|{bc.t_sink:.6f}|{bc.dt_approach:.6f}"
-                f"|{bc.p_lo:.6f}|{bc.p_hi:.6f}")
+                f"|{bc.p_lo:.6f}|{bc.p_hi:.6f}"
+                f"|eta={eta.compressor:.6f},{eta.turbine:.6f}"
+                f",{eta.nozzle:.6f},{eta.diffuser:.6f}"
+                f"|budget={budget.n_init},{budget.n_iter}|seed={seed}")
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def get(self, graph, bc) -> WorkerResult | None:
-        return self._store.get(self.key_for(graph, bc))
+    def get(self, graph, bc, eta=None, budget=None,
+            seed: int = 0) -> WorkerResult | None:
+        return self._store.get(self.key_for(graph, bc, eta, budget, seed))
 
-    def put(self, graph, bc, result: WorkerResult) -> None:
-        key = self.key_for(graph, bc)
+    def put(self, graph, bc, result: WorkerResult, eta=None, budget=None,
+            seed: int = 0) -> None:
+        key = self.key_for(graph, bc, eta, budget, seed)
         if key in self._store:
             return
         self._store[key] = result

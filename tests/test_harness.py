@@ -1,5 +1,7 @@
 """Case configuration, graph text notation, classification, reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -289,6 +291,27 @@ def test_verify_against_oracle_diff(tmp_path):
     bad = verify_against_oracle(spec, {}, cache)
     assert bad.missing == {key}
     assert not bad.empty
+
+
+def test_oracle_hits_the_experiment_worker_cache(tmp_path):
+    # `cyclesynth verify` judges feasibility through the cache file the
+    # experiment wrote; same spec, so every stored structure must hit
+    spec = dataclasses.replace(_tiny_spec(), worker_budget=(4, 4),
+                               episodes=60, baseline_episodes=20)
+    harness.run_experiment(spec, tmp_path)
+    hits = []
+
+    class RecordingCache(worker.WorkerCache):
+        def get(self, *args):
+            hit = super().get(*args)
+            hits.append(hit is not None)
+            return hit
+
+    cache = RecordingCache(tmp_path / "worker_cache.jsonl")
+    stored = len(cache)
+    assert stored > 0
+    oracle_keys(spec, cache)
+    assert sum(hits) == stored
 
 
 def test_case_spec_eta_and_fluid():

@@ -1,13 +1,18 @@
 """GP regression, UCB search loop, parameter optimization and cache."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
-from cyclesynth import decoder, grammar, worker
+import cyclesynth
+from cyclesynth import decoder, grammar, harness, worker
 from cyclesynth.fluids import AnalyticFluid
 from cyclesynth.worker import (
-    WorkerBudget, WorkerCache, gp_fit, gp_predict, maximize,
-    optimize_parameters, propose_next, ucb,
+    N_ACQ_REFINE, N_ACQ_STARTS, WorkerBudget, WorkerCache, gp_fit,
+    gp_predict, maximize, optimize_parameters, propose_next, ucb,
 )
 
 HE_BC = decoder.BoundaryConditions("heat_engine", 600.0, 300.0)
@@ -71,6 +76,127 @@ def test_ucb_is_mean_plus_kappa_sigma():
     mu, sigma = gp_predict(model, xq)
     assert np.allclose(ucb(model, xq), mu + 2.0 * sigma)
     assert np.allclose(ucb(model, xq, kappa=0.0), mu)
+
+
+def _dense_predict(model, xq):
+    """GP posterior from general solves on K + jitter*I, no Cholesky."""
+    n = len(model.x)
+    k = (worker._kernel(model.x, model.x, model.sigma_f, model.lengthscale)
+         + model.jitter * np.eye(n))
+    ks = worker._kernel(xq, model.x, model.sigma_f, model.lengthscale)
+    mu = model.mean + ks @ np.linalg.solve(k, model.y - model.mean)
+    var = model.sigma_f ** 2 - np.einsum(
+        "ij,ji->i", ks, np.linalg.solve(k, ks.T))
+    return mu, var
+
+
+@pytest.mark.parametrize("dim,scale", [(4, 1.0), (6, 1.0),
+                                       (4, 1e5), (6, 1e5)])
+def test_gp_matches_dense_solve_at_300_points(dim, scale):
+    # n = 300 is a (100, 200) budget.  A third of the points repeat
+    # earlier ones with the same value, as a deterministic objective
+    # gives when the acquisition re-proposes a point.  At the 1e5 scale
+    # the Cholesky of K + JITTER_MIN*I fails and the jitter escalates.
+    # Below 4 dimensions 300 points crowd the box, K's condition number
+    # passes 1e9 and two float64 solves agree to about 1e-8 only.
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(0.0, 1.0, size=(300, dim))
+    x[200:] = x[:100]
+    y = scale * (np.sin(4.0 * x).sum(axis=1)
+                 + 0.05 * np.cos(40.0 * x).sum(axis=1))
+    model = gp_fit(x, y)
+    assert (model.jitter > worker.JITTER_MIN) == (scale > 1.0)
+    xq = np.vstack([rng.uniform(0.0, 1.0, size=(200, dim)), x[:50]])
+    mu, sigma = gp_predict(model, xq)
+    mu_ref, var_ref = _dense_predict(model, xq)
+    sf = model.sigma_f
+    np.testing.assert_allclose(mu, mu_ref, rtol=0.0, atol=1e-9 * sf)
+    # the variance, not its square root: where the variance is a few
+    # ulps of sigma_f**2 the root turns rounding into ~3e-8 * sigma_f
+    np.testing.assert_allclose(sigma ** 2, np.clip(var_ref, 0.0, None),
+                               rtol=0.0, atol=1e-9 * sf ** 2)
+    if scale == 1.0:
+        np.testing.assert_allclose(
+            sigma, np.sqrt(np.clip(var_ref, 0.0, None)),
+            rtol=0.0, atol=1e-9 * sf)
+
+
+def test_gp_predict_row_does_not_depend_on_its_batch():
+    # lockstep acquisition scores up to PREDICT_BLOCK points per call and
+    # must score each exactly as a call of its own would
+    rng = np.random.default_rng(8)
+    for dim, n in [(1, 7), (3, 120), (6, 300)]:
+        model = gp_fit(rng.uniform(0, 1, size=(n, dim)), rng.normal(size=n))
+        xq = rng.uniform(0, 1, size=(worker.PREDICT_BLOCK, dim))
+        mu, sigma = gp_predict(model, xq)
+        for k in range(len(xq)):
+            mu_k, sigma_k = gp_predict(model, xq[k:k + 1])
+            assert mu_k[0] == mu[k] and sigma_k[0] == sigma[k]
+
+
+# -- acquisition ---------------------------------------------------------
+
+def _propose_next_reference(model, dim, rng):
+    """One coordinate descent after another, one `ucb` call per point."""
+    sob = qmc.Sobol(dim, scramble=True, seed=rng)
+    cands = sob.random(N_ACQ_STARTS)
+    scores = ucb(model, cands)
+    order = np.argsort(-scores, kind="stable")[:N_ACQ_REFINE]
+    best_x, best_s = None, -np.inf
+    for k in order:
+        x = cands[k].copy()
+        s = float(scores[k])
+        step = 0.1
+        while step > 1e-3:
+            improved = False
+            for d in range(dim):
+                for sign in (+1.0, -1.0):
+                    cand = x.copy()
+                    cand[d] = min(max(cand[d] + sign * step, 0.0), 1.0)
+                    sc = float(ucb(model, cand[None, :])[0])
+                    if sc > s:
+                        x, s = cand, sc
+                        improved = True
+            if not improved:
+                step *= 0.5
+        if s > best_s:
+            best_x, best_s = x, s
+    return best_x
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 6), n=st.integers(1, 150),
+       seed=st.integers(0, 2 ** 32 - 1), repeats=st.booleans())
+def test_propose_next_matches_sequential_reference(dim, n, seed, repeats):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    if repeats:
+        x[n // 2:] = x[:n - n // 2]
+    y = np.sin(5.0 * x).sum(axis=1) + (x[:, 0] > 0.5)
+    model = gp_fit(x, y)
+    acq_seed = int(rng.integers(2 ** 32))
+    got = propose_next(model, dim, np.random.default_rng(acq_seed))
+    want = _propose_next_reference(model, dim,
+                                   np.random.default_rng(acq_seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_propose_next_batches_every_score_through_ucb(monkeypatch):
+    rows = []
+
+    def counting_ucb(model, xq, kappa=worker.UCB_KAPPA):
+        rows.append(len(xq))
+        return -((xq - 0.37) ** 2).sum(axis=1)   # peak at 0.37
+
+    rng = np.random.default_rng(4)
+    model = gp_fit(rng.uniform(0, 1, size=(12, 3)), rng.normal(size=12))
+    monkeypatch.setattr(worker, "ucb", counting_ucb)
+    x = propose_next(model, 3, rng)
+    # only the patched scores can lead the descent to their peak
+    np.testing.assert_allclose(x, 0.37, atol=2e-3)
+    assert rows[0] == N_ACQ_STARTS
+    assert rows[1] == N_ACQ_REFINE          # the first move, all starts
+    assert all(1 <= r <= N_ACQ_REFINE for r in rows[1:])
 
 
 def test_propose_next_stays_in_unit_box():
@@ -192,10 +318,51 @@ def test_cache_persistence_round_trip(tmp_path):
                               WorkerBudget(4, 4), seed=1, eta=IDEAL,
                               cache=cache)
     reloaded = WorkerCache(path)
-    hit = reloaded.get(_brayton(), HE_BC)
+    hit = reloaded.get(_brayton(), HE_BC, IDEAL, WorkerBudget(4, 4), 1)
     assert hit is not None
     assert hit.best_performance == res.best_performance
     assert hit.best_params == res.best_params
+    assert reloaded.get(_brayton(), HE_BC) is None    # other settings
+
+
+def test_cache_key_includes_search_settings():
+    g = _brayton()
+    base = WorkerCache.key_for(g, HE_BC, IDEAL, WorkerBudget(8, 8), 0)
+    others = [
+        WorkerCache.key_for(g, HE_BC, decoder.Efficiencies(0.8, 0.8),
+                            WorkerBudget(8, 8), 0),
+        WorkerCache.key_for(g, HE_BC, IDEAL, WorkerBudget(8, 9), 0),
+        WorkerCache.key_for(g, HE_BC, IDEAL, WorkerBudget(9, 8), 0),
+        WorkerCache.key_for(g, HE_BC, IDEAL, WorkerBudget(8, 8), 1),
+    ]
+    assert len({base, *others}) == 5
+    # None stands for the defaults optimize_parameters applies
+    assert WorkerCache.key_for(g, HE_BC) == WorkerCache.key_for(
+        g, HE_BC, decoder.Efficiencies(), WorkerBudget(), 0)
+
+
+def test_cache_file_does_not_serve_other_efficiencies(tmp_path):
+    spec = harness.load_config(os.path.join(
+        os.path.dirname(cyclesynth.__file__), "configs", "desk_he_small.yaml"))
+    g = harness.build_graph(spec.components,
+                            "CP#1>HT#1;HT#1>TB#1;TB#1>CL#1;CL#1>CP#1")
+    bc = spec.boundary_conditions()
+    budget = WorkerBudget(8, 8)
+    path = tmp_path / "worker_cache.jsonl"
+    lossy = optimize_parameters(g, bc, spec.make_fluid(), budget, 0,
+                                decoder.Efficiencies(0.8, 0.8),
+                                WorkerCache(path))
+    ideal = decoder.Efficiencies(1.0, 1.0)
+    reused = optimize_parameters(g, bc, spec.make_fluid(), budget, 0,
+                                 ideal, WorkerCache(path))
+    fresh = optimize_parameters(g, bc, spec.make_fluid(), budget, 0, ideal)
+    assert not reused.cache_hit
+    assert reused.best_performance == fresh.best_performance
+    assert fresh.best_performance > lossy.best_performance + 0.3
+    again = optimize_parameters(g, bc, spec.make_fluid(), budget, 0,
+                                ideal, WorkerCache(path))
+    assert again.cache_hit
+    assert again.best_performance == fresh.best_performance
 
 
 def test_cache_relabel_invariant():
