@@ -12,8 +12,10 @@ and training is staged from exploration-heavy to elite-heavy.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -564,57 +566,94 @@ def export_training_log(log: list[LogRow], path) -> None:
                          r.stage])
 
 
+# A checkpoint is a JSON document whose numeric arrays are objects
+# {"dtype", "shape", "b64"}, b64 being the base64 of the raw little-endian
+# bytes: they read back bitwise, and the ~128 k parameter and Adam moment
+# floats rewritten after every update cost no float-to-text conversion.
+CHECKPOINT_FORMAT = "ckpt-b64v1"
+
+
+def _encode_array(a) -> dict:
+    a = np.asarray(a)
+    le = a.astype(a.dtype.newbyteorder("<"), copy=False)
+    return {"dtype": le.dtype.str, "shape": list(a.shape),
+            "b64": base64.b64encode(le.tobytes()).decode("ascii")}
+
+
+def _decode_array(doc: dict) -> np.ndarray:
+    """A writable native-order copy, bitwise equal to the encoded array."""
+    dtype = np.dtype(doc["dtype"])
+    raw = base64.b64decode(doc["b64"], validate=True)
+    a = np.frombuffer(raw, dtype=dtype).reshape(doc["shape"])
+    return a.astype(dtype.newbyteorder("="), copy=True)
+
+
 def _net_doc(net: nn.MlpModel) -> dict:
     return {"layer_dims": net.layer_dims,
-            "weights": [w.tolist() for w in net.weights],
-            "biases": [b.tolist() for b in net.biases]}
+            "weights": [_encode_array(w) for w in net.weights],
+            "biases": [_encode_array(b) for b in net.biases]}
 
 
 def _net_load(doc: dict, net: nn.MlpModel) -> None:
-    net.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-    net.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    net.weights = [_decode_array(w) for w in doc["weights"]]
+    net.biases = [_decode_array(b) for b in doc["biases"]]
 
 
 def save_checkpoint(path, model: ActorCritic, adam: nn.AdamState,
                     elite: EliteMemory, episode: int, rngs) -> None:
+    """Write the training state to path, replacing it atomically: the
+    document goes to a temporary file beside it first, so a crash
+    mid-write leaves the previous checkpoint in place."""
     doc = {
+        "format": CHECKPOINT_FORMAT,
         "episode": episode,
         "obs_dim": model.obs_dim,
         "n_actions": model.n_actions,
         "nets": {"torso": _net_doc(model.torso),
                  "policy": _net_doc(model.policy_head),
                  "value": _net_doc(model.value_head)},
-        "adam": {"m": [a.tolist() for a in adam.m],
-                 "v": [a.tolist() for a in adam.v], "t": adam.t},
-        "elite": [{"key": e.key, "performance": e.performance,
-                   "obs": [o.tolist() for o in e.obs],
-                   "actions": e.actions,
-                   "masks": [m.astype(int).tolist() for m in e.masks]}
-                  for e in elite.entries],
+        "adam": {"m": [_encode_array(a) for a in adam.m],
+                 "v": [_encode_array(a) for a in adam.v], "t": adam.t},
+        "elite": {"capacity": elite.capacity,
+                  "entries": [{"key": e.key, "performance": e.performance,
+                               "obs": _encode_array(e.obs),
+                               "actions": e.actions,
+                               "masks": _encode_array(
+                                   np.asarray(e.masks, dtype=bool))}
+                              for e in elite.entries]},
         "rng_states": [r.bit_generator.state for r in rngs],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
     """(model, adam, elite, episode, rng_states) from a checkpoint file."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"{os.fspath(path)} is not a {CHECKPOINT_FORMAT!r} checkpoint; "
+            "checkpoints that store arrays as decimal lists cannot be read")
     model = ActorCritic(doc["obs_dim"], doc["n_actions"],
                         np.random.default_rng(0))
     _net_load(doc["nets"]["torso"], model.torso)
     _net_load(doc["nets"]["policy"], model.policy_head)
     _net_load(doc["nets"]["value"], model.value_head)
-    adam = nn.AdamState([np.asarray(a) for a in doc["adam"]["m"]],
-                        [np.asarray(a) for a in doc["adam"]["v"]],
+    adam = nn.AdamState([_decode_array(a) for a in doc["adam"]["m"]],
+                        [_decode_array(a) for a in doc["adam"]["v"]],
                         doc["adam"]["t"])
-    elite = EliteMemory(max(len(doc["elite"]), 1))
-    elite.capacity = max(elite.capacity, 16)
-    for e in doc["elite"]:
-        elite.update(EliteEntry(
-            e["key"], e["performance"],
-            [np.asarray(o, dtype=float) for o in e["obs"]],
-            list(e["actions"]),
-            [np.asarray(m, dtype=bool) for m in e["masks"]]))
+    elite = EliteMemory(doc["elite"]["capacity"])
+    for e in doc["elite"]["entries"]:
+        elite.update(EliteEntry(e["key"], e["performance"],
+                                list(_decode_array(e["obs"])),
+                                list(e["actions"]),
+                                list(_decode_array(e["masks"]))))
     return model, adam, elite, doc["episode"], doc["rng_states"]

@@ -287,18 +287,115 @@ def test_training_log_and_stage_schedule(tmp_path):
     assert len(lines) == 33
 
 
-def test_checkpoint_round_trip(tmp_path):
-    cfg = PpoConfig(t_max=1, update_every=8)
+class EliteEnv:
+    """Two-step environment whose episodes all end valid and feasible,
+    keyed by their two actions, so the elite memory fills up."""
+
+    obs_dim = 4
+    n_actions = 4
+
+    def reset(self):
+        self.first = None
+        return np.zeros(4), np.array([True, True, False, True])
+
+    def step(self, action):
+        obs = np.eye(4)[action]
+        if self.first is None:
+            self.first = action
+            return (obs, np.array([True, False, True, True]), 0.0, False,
+                    {"valid": False})
+        perf = 1.0 + self.first + 0.1 * action
+        key = f"{self.first}{action}"
+        return (obs, np.ones(4, dtype=bool), perf, True,
+                {"valid": True, "feasible": True, "key": key,
+                 "performance": perf, "graph": key})
+
+
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
+    # keep the live objects handed to the last save for comparison
+    saved = {}
+    real_save = agent.save_checkpoint
+
+    def capture(path_, model, adam, elite, episode, rngs):
+        saved.update(adam=adam, elite=elite, rngs=rngs)
+        real_save(path_, model, adam, elite, episode, rngs)
+
+    monkeypatch.setattr(agent, "save_checkpoint", capture)
+    cfg = PpoConfig(t_max=2, update_every=8, elite_capacity=5)
     path = tmp_path / "ckpt.json"
-    result = train_manager(BanditEnv(), cfg, total_episodes=16, seed=0,
+    result = train_manager(EliteEnv(), cfg, total_episodes=32, seed=0,
                            checkpoint_path=path)
     model, adam, elite, episode, rng_states = agent.load_checkpoint(path)
-    assert episode == 16
-    for pa, pb in zip(model.parameters(), result.model.parameters()):
-        assert np.array_equal(pa, pb)
-    assert adam.t > 0
-    assert isinstance(elite, EliteMemory)
+    assert episode == 32
+    for pa, pb in zip(model.parameters(), result.model.parameters(),
+                      strict=True):
+        assert pa.dtype == pb.dtype and pa.tobytes() == pb.tobytes()
+    train_adam = saved["adam"]
+    assert adam.t == train_adam.t > 0
+    for got, want in zip(adam.m + adam.v, train_adam.m + train_adam.v,
+                         strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.writeable
+
+    train_elite = saved["elite"]
+    assert elite.capacity == train_elite.capacity == 5
+    assert len(elite) == len(train_elite) == 5
+    for got, want in zip(elite.entries, train_elite.entries, strict=True):
+        assert got.key == want.key
+        assert got.performance == want.performance
+        assert got.actions == want.actions
+        assert len(got.obs) == len(want.obs) == 2
+        for a, b in zip(got.obs, want.obs, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(got.masks, want.masks, strict=True):
+            assert a.dtype == bool and np.array_equal(a, b)
+
     assert len(rng_states) == 2
+    for state, train_rng in zip(rng_states, saved["rngs"], strict=True):
+        fresh = np.random.default_rng()
+        fresh.bit_generator.state = state
+        assert np.array_equal(fresh.random(8), train_rng.random(8))
+
+
+def test_checkpoint_rejects_decimal_layout(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text('{"episode": 16, "obs_dim": 4, "n_actions": 4}')
+    with pytest.raises(ValueError, match="ckpt-b64v1"):
+        agent.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("env_cls", [BanditEnv, EliteEnv])
+def test_checkpointing_does_not_change_training(tmp_path, env_cls):
+    cfg = PpoConfig(t_max=2, update_every=8)
+    plain = train_manager(env_cls(), cfg, total_episodes=48, seed=3)
+    saved = train_manager(env_cls(), cfg, total_episodes=48, seed=3,
+                          checkpoint_path=tmp_path / "ckpt.json")
+    assert plain.log == saved.log
+    for pa, pb in zip(plain.model.parameters(), saved.model.parameters(),
+                      strict=True):
+        assert pa.tobytes() == pb.tobytes()
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    model = _tiny_model()
+    adam = nn.AdamState.for_params(model.parameters())
+    elite = EliteMemory(4)
+    elite.update(_entry("a", 1.0))
+    rngs = (np.random.default_rng(1), np.random.default_rng(2))
+    agent.save_checkpoint(path, model, adam, elite, 8, rngs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+    before = path.read_bytes()
+
+    def fail(_src, _dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(agent.os, "replace", fail)
+    with pytest.raises(OSError, match="simulated crash"):
+        agent.save_checkpoint(path, _tiny_model(seed=1), adam, elite, 16,
+                              rngs)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
 
 
 def test_policy_never_samples_illegal_action():
