@@ -324,8 +324,7 @@ class CycleEnv:
         self.n_nodes = len(self._base)
         self.obs_dim = self.n_nodes ** 2
         self.n_actions = self.obs_dim + 1
-        self.graph = self._base
-        self.t = 0
+        self.reset()
 
     def _obs(self) -> np.ndarray:
         return self.graph.adjacency_vector()
@@ -333,10 +332,11 @@ class CycleEnv:
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self.graph = self._base
         self.t = 0
-        return self._obs(), grammar.legal_actions(self.graph)
+        self.mask = grammar.legal_actions(self.graph)
+        return self._obs(), self.mask
 
     def step(self, action: int):
-        mask = grammar.legal_actions(self.graph)
+        mask = self.mask       # legal actions of self.graph
         if not mask[action]:
             raise grammar.IllegalActionError(
                 f"action {action} is illegal in the current state")
@@ -355,7 +355,7 @@ class CycleEnv:
             return self._obs(), mask, r, True, info
         self.graph = grammar.apply_action(self.graph, act)
         self.t += 1
-        new_mask = grammar.legal_actions(self.graph)
+        self.mask = new_mask = grammar.legal_actions(self.graph)
         if self.t >= self.t_max or not new_mask.any():
             return (self._obs(), new_mask, REWARD_INVALID, True,
                     {"valid": False, "performance": 0.0})

@@ -77,7 +77,8 @@ def cmd_decode(args) -> int:
     g = harness.build_graph(spec.components, args.edges)
     params = json.loads(args.params) if args.params else {}
     res = decoder.decode(g, params, spec.boundary_conditions(),
-                         spec.make_fluid(), spec.eta(), verbose=True)
+                         spec.make_fluid(), spec.eta())
+    print(f"iter={res.iterations} fnorm={res.residual_norm:.3e}")
     decoder.export_states_csv(res, os.path.join(args.out, "states.csv"))
     print(f"status={res.status} feasible={res.feasible} "
           f"performance={res.performance:.6f} fnorm={res.residual_norm:.3e}")

@@ -5,7 +5,9 @@ port holding a (p, h, m) triple.  The decoder assembles one square
 nonlinear system out of edge equalities, per-component relations and
 per-pressure-segment level pins, and hands it to a damped hybrid
 Powell solver.  Post-solve checks cover heat-transfer direction,
-pressure direction and net performance.
+pressure direction and net performance.  `evaluate` is the one
+solve-and-check sequence: `decode` and the Worker's objective both
+call it.
 
 A pressure segment is the set of ports connected through edges and
 isobaric components; pressure-changing components break segments.  Each
@@ -159,7 +161,6 @@ class DecodeResult:
     w_net: float
     q_in: float
     q_out: float
-    clamped: bool
     violations: list[str] = field(default_factory=list)
     ports: list[PortRow] = field(default_factory=list)
 
@@ -168,7 +169,7 @@ class CycleSystem:
     """Assembled residual system for one structurally valid graph."""
 
     def __init__(self, graph: grammar.CycleGraph, bc: BoundaryConditions,
-                 fluid, eta: Efficiencies | None = None) -> None:
+                 fluid=None, eta: Efficiencies | None = None) -> None:
         self.eta = eta or Efficiencies()
         report = grammar.structural_validity(graph)
         if not report.valid:
@@ -177,7 +178,7 @@ class CycleSystem:
                 + "; ".join(d for _, d in report.violations))
         self.graph = graph
         self.bc = bc
-        self.fluid = fluid
+        self.fluid = fluid or fluids.AnalyticFluid()
         self.edges = sorted(graph.edges())
         self.active = graph.active_nodes()
 
@@ -282,23 +283,25 @@ class CycleSystem:
 
     # -- residuals -------------------------------------------------------
 
-    def _dome_q(self, p: float, h: float, note) -> float:
-        lo = self.fluid.p_dome_min
-        pc = min(max(p, lo), fluids.P_CRIT - 1e-9)
+    def unscale(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Port pressures, enthalpies and mass flows of a solution vector."""
+        P = self.n_ports
+        return xs[:P] * P_SCALE, xs[P:2 * P] * H_SCALE, xs[2 * P:] * M_SCALE
+
+    def _separator_sat(self, p: float, note) -> tuple[float, float]:
+        """(hl, hv) at p clamped into the dome's pressure range."""
+        pc = min(max(p, self.fluid.p_dome_min), fluids.P_CRIT - 1e-9)
         if pc != p:
             note[0] = True
         _t, hl, hv = self.fluid.p_to_sat(pc)
-        return min(max((h - hl) / (hv - hl), 0.0), 1.0)
+        return hl, hv
 
     def residuals(self, xs: np.ndarray, params: dict[str, float],
                   note=None) -> np.ndarray:
         """Scaled residual vector; note[0] is set if any fluid call clamped."""
         if note is None:
             note = [False]
-        P = self.n_ports
-        p = xs[:P] * P_SCALE
-        h = xs[P:2 * P] * H_SCALE
-        m = xs[2 * P:] * M_SCALE
+        p, h, m = self.unscale(xs)
         fl = self.fluid
         res: list[float] = []
 
@@ -367,18 +370,13 @@ class CycleSystem:
                 res.append(bal / H_SCALE)
                 continue
             elif tag == "S":
-                pc = min(max(p[ins[0]], fl.p_dome_min),
-                         fluids.P_CRIT - 1e-9)
-                if pc != p[ins[0]]:
-                    note[0] = True
-                _t, hl, hv = fl.p_to_sat(pc)
+                hl, hv = self._separator_sat(p[ins[0]], note)
                 for k in outs:
                     head = self.ports[k][0][1]
                     target = hv if self.graph.nodes[head][0] == "SV" else hl
                     res.append((h[k] - target) / H_SCALE)
                 continue
             elif tag == "M":
-                tot = sum(m[k] for k in ins)
                 res.append((m[k0] * h[k0]
                             - sum(m[k] * h[k] for k in ins)) / H_SCALE)
                 continue
@@ -405,7 +403,8 @@ class CycleSystem:
             if v == self._anchor_node:
                 res.append((m[outs[0]] - 1.0) / M_SCALE)
             elif tag == "S":
-                q = self._dome_q(p[ins[0]], h[ins[0]], note)
+                hl, hv = self._separator_sat(p[ins[0]], note)
+                q = min(max((h[ins[0]] - hl) / (hv - hl), 0.0), 1.0)
                 for k in outs:
                     head = self.ports[k][0][1]
                     frac = q if self.graph.nodes[head][0] == "SV" else 1.0 - q
@@ -441,9 +440,10 @@ class CycleSystem:
                             - (h_rec - h_mix)) / H_SCALE)
 
         out = np.asarray(res, dtype=float)
-        if out.size != 3 * P:
+        if out.size != 3 * self.n_ports:
             raise DecodeError(
-                f"system is not square: {out.size} equations, {3 * P} unknowns")
+                f"system is not square: {out.size} equations, "
+                f"{3 * self.n_ports} unknowns")
         return out
 
     # -- initial guess ---------------------------------------------------
@@ -467,8 +467,7 @@ class CycleSystem:
 def parameter_space(graph: grammar.CycleGraph, bc: BoundaryConditions,
                     fluid=None) -> list[ParamSpec]:
     """Continuous decision variables of a structure, with bounds."""
-    return CycleSystem(graph, bc, fluid or fluids.AnalyticFluid()) \
-        .parameter_space()
+    return CycleSystem(graph, bc, fluid).parameter_space()
 
 
 # -- decode and post-solve checks ---------------------------------------
@@ -517,9 +516,6 @@ def _physical_checks(sys_: CycleSystem, p, h, m) -> list[str]:
             if t_hot_in.T < t_cold_out.T - PINCH_TOL \
                     or t_hot_out.T < t_cold_in.T - PINCH_TOL:
                 bad.append(f"{lbl}: internal exchanger temperature crossover")
-        if tag == "M":
-            for k in sys_.in_ports[v][1:]:
-                pass  # inlet pressures already tied by the segment
         if m_in <= 1e-9:
             bad.append(f"{lbl}: vanishing mass flow")
     return bad
@@ -548,56 +544,56 @@ def _performance(sys_: CycleSystem, p, h, m) -> tuple[float, float, float, float
     return perf, w_net, q_in, q_out
 
 
-def decode(graph: grammar.CycleGraph, params: dict[str, float],
-           bc: BoundaryConditions, fluid=None,
-           eta: Efficiencies | None = None,
-           verbose: bool = False) -> DecodeResult:
-    """Solve every state point of a structure at the given parameters."""
-    fl = fluid or fluids.AnalyticFluid()
-    sys_ = CycleSystem(graph, bc, fl, eta)
-    missing = [n for n in sys_.required_parameters() if n not in params]
-    if missing:
-        raise DecodeError("missing parameters: " + ", ".join(missing))
+def evaluate(sys_: CycleSystem, params: dict[str, float],
+             with_ports: bool = False) -> DecodeResult:
+    """Solve a structure at the given parameters and judge the solution.
 
+    The one solve-and-check sequence: a converged solution is feasible
+    when no fluid call left its domain, every physical check passes and
+    the performance exceeds PERF_EPS.  Port rows are filled only when
+    with_ports is set.
+    """
     sol = hybrid_solve(lambda x: sys_.residuals(x, params),
                        sys_.initial_guess(params))
-    if verbose:
-        print(f"iter={sol.iterations} fnorm={sol.fnorm:.3e}")
-
-    note = [False]
-    if sol.status != STATUS_ERROR:
-        sys_.residuals(sol.x, params, note)
-    P = sys_.n_ports
-    p = sol.x[:P] * P_SCALE
-    h = sol.x[P:2 * P] * H_SCALE
-    m = sol.x[2 * P:] * M_SCALE
-
     violations: list[str] = []
     perf = w_net = q_in = q_out = 0.0
     rows: list[PortRow] = []
     if sol.status == STATUS_CONVERGED:
+        note = [False]
+        sys_.residuals(sol.x, params, note)
         if note[0]:
             violations.append("solution required out-of-domain property calls")
+        p, h, m = sys_.unscale(sol.x)
         violations.extend(_physical_checks(sys_, p, h, m))
         perf, w_net, q_in, q_out = _performance(sys_, p, h, m)
         if perf <= PERF_EPS:
             violations.append("nonpositive performance")
-        for k, (edge, side) in enumerate(sys_.ports):
-            i, j = edge
-            node = i if side == "out" else j
-            st, _ = fl.ph_to_tsq_clamped(p[k], h[k])
-            rows.append(PortRow(
-                graph.label(node), f"{graph.label(i)}->{graph.label(j)}",
-                side, p[k], h[k], st.T, st.s, st.Q, m[k]))
+        if with_ports:
+            g = sys_.graph
+            for k, ((i, j), side) in enumerate(sys_.ports):
+                st, _ = sys_.fluid.ph_to_tsq_clamped(p[k], h[k])
+                rows.append(PortRow(g.label(i if side == "out" else j),
+                                    f"{g.label(i)}->{g.label(j)}", side,
+                                    p[k], h[k], st.T, st.s, st.Q, m[k]))
     elif sol.status == STATUS_NOT_CONVERGED:
         violations.append("solver did not converge")
     else:
         violations.append(f"solver error: {sol.message}")
-
-    feasible = sol.status == STATUS_CONVERGED and not violations
-    return DecodeResult(sol.status, feasible, perf, sol.fnorm,
+    # every path that is not converged has added a violation
+    return DecodeResult(sol.status, not violations, perf, sol.fnorm,
                         sol.iterations, sol.nfev, w_net, q_in, q_out,
-                        note[0], violations, rows)
+                        violations, rows)
+
+
+def decode(graph: grammar.CycleGraph, params: dict[str, float],
+           bc: BoundaryConditions, fluid=None,
+           eta: Efficiencies | None = None) -> DecodeResult:
+    """Solve every state point of a structure at the given parameters."""
+    sys_ = CycleSystem(graph, bc, fluid, eta)
+    missing = [n for n in sys_.required_parameters() if n not in params]
+    if missing:
+        raise DecodeError("missing parameters: " + ", ".join(missing))
+    return evaluate(sys_, params, with_ports=True)
 
 
 def export_states_csv(result: DecodeResult, path) -> None:

@@ -67,6 +67,7 @@ COMPONENT_TAGS = {
 
 MAX_INSTANCES_PER_COMPONENT = 2
 MAX_ROSTER = 16
+MAX_ENUMERATION_ROSTER = 13   # enumerate_valid's limit: action space n**2
 
 
 class IllegalActionError(ValueError):
@@ -395,18 +396,18 @@ def canonical_hex(g: CycleGraph) -> str:
 # -- exhaustive enumeration ---------------------------------------------
 
 def enumerate_valid(component_limits: dict[str, int], max_edges: int,
-                    physical_filter=None, reverse_order: bool = False,
-                    max_roster: int = 13) -> set[bytes]:
+                    physical_filter=None,
+                    reverse_order: bool = False) -> set[bytes]:
     """Depth-first enumeration of every valid structure's canonical key.
 
     physical_filter, when given, maps a structurally valid CycleGraph to
     a bool (decodability); structural-only enumeration otherwise.
     """
     g0 = new_graph(component_limits)
-    if len(g0) > max_roster:
+    if len(g0) > MAX_ENUMERATION_ROSTER:
         raise ValueError(
             f"roster of {len(g0)} nodes is too large to enumerate "
-            f"(limit {max_roster}; action space {len(g0) ** 2})")
+            f"(limit {MAX_ENUMERATION_ROSTER}; action space {len(g0) ** 2})")
     seen_states: set[bytes] = set()
     valid_keys: set[bytes] = set()
     checked_keys: dict[bytes, bool] = {}

@@ -199,21 +199,10 @@ def penalized_objective(system: decoder.CycleSystem,
 
     def evaluate(x: np.ndarray) -> tuple[float, bool, float, dict[str, float]]:
         params = _denorm(x, specs)
-        sol = decoder.hybrid_solve(
-            lambda v: system.residuals(v, params), system.initial_guess(params))
-        if sol.status != decoder.STATUS_CONVERGED:
+        res = decoder.evaluate(system, params)
+        if not res.feasible:
             return PENALTY, False, 0.0, params
-        note = [False]
-        system.residuals(sol.x, params, note)
-        p_ = sol.x[:system.n_ports] * decoder.P_SCALE
-        h_ = sol.x[system.n_ports:2 * system.n_ports] * decoder.H_SCALE
-        m_ = sol.x[2 * system.n_ports:] * decoder.M_SCALE
-        if note[0] or decoder._physical_checks(system, p_, h_, m_):
-            return PENALTY, False, 0.0, params
-        perf, _w, _qi, _qo = decoder._performance(system, p_, h_, m_)
-        if perf <= decoder.PERF_EPS:
-            return PENALTY, False, 0.0, params
-        return perf, True, perf, params
+        return res.performance, True, res.performance, params
 
     return evaluate
 
@@ -238,8 +227,7 @@ def optimize_parameters(graph: grammar.CycleGraph,
             hit.cache_hit = True
             return hit
     try:
-        system = decoder.CycleSystem(graph, bc,
-                                     fluid or _default_fluid(), eta)
+        system = decoder.CycleSystem(graph, bc, fluid, eta)
     except decoder.DecodeError:
         result = WorkerResult({}, PENALTY, False, 0)
         if cache is not None:
@@ -273,11 +261,6 @@ def optimize_parameters(graph: grammar.CycleGraph,
     if cache is not None:
         cache.put(graph, bc, result, *settings)
     return result
-
-
-def _default_fluid():
-    from .fluids import AnalyticFluid
-    return AnalyticFluid()
 
 
 def export_evaluations_csv(result: WorkerResult, path) -> None:

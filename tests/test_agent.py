@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclesynth import agent, nn
+from cyclesynth import agent, decoder, grammar, nn, worker
 from cyclesynth.agent import (
     ActorCritic, EliteEntry, EliteMemory, PpoConfig, backprop_performance,
     discounted_return, elite_loss_and_grads, masked_entropy,
@@ -406,6 +406,31 @@ def test_policy_never_samples_illegal_action():
         a, logp, _v = model.act(np.zeros(4), mask, rng)
         assert mask[a]
         assert logp <= 0.0
+
+
+def test_cycle_env_masks_match_the_graph():
+    bc = decoder.BoundaryConditions("heat_engine", 600.0, 300.0)
+    roster = {"compressor": 1, "heater": 1, "turbine": 2, "cooler": 1}
+    rng = np.random.default_rng(0)
+    endings = set()
+    for t_max in (5, 8):
+        env = agent.CycleEnv(roster, bc, budget=worker.WorkerBudget(2, 1),
+                             t_max=t_max)
+        for _ in range(30):
+            _obs, mask = env.reset()
+            done = False
+            while not done:
+                assert np.array_equal(mask, grammar.legal_actions(env.graph))
+                graph = env.graph
+                with pytest.raises(grammar.IllegalActionError):
+                    env.step(int(rng.choice(np.flatnonzero(~mask))))
+                assert env.graph is graph
+                _obs, mask, _r, done, info = env.step(
+                    int(rng.choice(np.flatnonzero(mask))))
+            assert np.array_equal(mask, grammar.legal_actions(env.graph))
+            endings.add("terminate" if info["valid"] else
+                        "t_max" if env.t >= t_max else "no legal action")
+    assert endings == {"terminate", "t_max", "no legal action"}
 
 
 def test_ppo_config_validation():

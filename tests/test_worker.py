@@ -281,6 +281,38 @@ def test_infeasible_structure_reports_penalty():
     assert res.best_performance == worker.PENALTY
 
 
+def test_penalized_objective_agrees_with_decode():
+    # the benchmark's three heat pumps and desk_he_small's simple Brayton
+    cases = [("hp_case1", "CP#1>GC#1;GC#1>EV#1;EV#1>EVAP#1;EVAP#1>CP#1"),
+             ("hp_case1", "CP#1>GC#1;GC#1>TB#1;TB#1>EVAP#1;EVAP#1>CP#1"),
+             ("hp_case1", "CP#1>GC#1;GC#1>r#1;r#1>TB#1;TB#1>EVAP#1;"
+                          "EVAP#1>R#1;R#1>CP#1"),
+             ("desk_he_small", "CP#1>HT#1;HT#1>TB#1;TB#1>CL#1;CL#1>CP#1")]
+    configs = os.path.join(os.path.dirname(harness.__file__), "configs")
+    n_feasible = n_infeasible = 0
+    for case, edges in cases:
+        spec = harness.load_config(os.path.join(configs, f"{case}.yaml"))
+        g = harness.build_graph(spec.components, edges)
+        bc, fluid, eta = (spec.boundary_conditions(), spec.make_fluid(),
+                          spec.eta())
+        system = decoder.CycleSystem(g, bc, fluid, eta)
+        specs = system.parameter_space()
+        evaluate = worker.penalized_objective(system, specs)
+        for x in qmc.Sobol(len(specs), scramble=True, seed=7).random(32):
+            obj, feas, perf, params = evaluate(x)
+            assert params == {s.name: s.lo + float(xi) * (s.hi - s.lo)
+                              for xi, s in zip(x, specs)}
+            res = decoder.decode(g, params, bc, fluid, eta)
+            if res.feasible:
+                n_feasible += 1
+                assert (obj, feas, perf) == (res.performance, True,
+                                             res.performance)
+            else:
+                n_infeasible += 1
+                assert (obj, feas, perf) == (worker.PENALTY, False, 0.0)
+    assert n_feasible and n_infeasible
+
+
 def test_cache_hit_skips_evaluation(tmp_path):
     cache = WorkerCache(tmp_path / "cache.jsonl")
     first = optimize_parameters(_brayton(), HE_BC, AnalyticFluid(),
