@@ -187,6 +187,7 @@ def main(argv=None) -> int:
         handlers[name] = fn
 
     args = ap.parse_args(argv)
+    worker.pin_solver_threads()
     try:
         return handlers[args.command](args)
     except (harness.ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:

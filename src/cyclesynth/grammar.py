@@ -7,14 +7,20 @@ each loop to contain pressure- and enthalpy- raising and lowering
 components, and parallel branches to agree in net pressure/enthalpy
 direction.  Compound components (internal heat exchanger, ejector,
 gas-liquid separator) are coupled node groups that co-activate.
+
+Rosters have at most MAX_ROSTER = 16 nodes, so the rules are small-graph
+code: edge rules are boolean arrays over the adjacency matrix, degrees and
+per-kind columns; loops, branches and connectivity are depth-first
+searches over successor lists in ascending index order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 TERMINATE = "TERMINATE"
@@ -97,7 +103,6 @@ class CycleGraph:
         self.adj.setflags(write=False)
         self.couplings = couplings
         self._validity: ValidityReport | None = None
-        self._loops: list[list[int]] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -134,8 +139,8 @@ class CycleGraph:
 
     def active_nodes(self) -> list[int]:
         """Nodes with an incident edge, plus co-activated group members."""
-        touched = {i for i in range(len(self))
-                   if self.adj[i].any() or self.adj[:, i].any()}
+        touched = set(np.flatnonzero(self.adj.any(axis=0)
+                                     | self.adj.any(axis=1)).tolist())
         for grp in self.couplings:
             if any(m in touched for m in grp[1]):
                 touched.update(grp[1])
@@ -192,26 +197,70 @@ def new_graph(component_limits: dict[str, int]) -> CycleGraph:
 
 # -- edge rules ---------------------------------------------------------
 
+class _KindColumns(NamedTuple):
+    manager_out: np.ndarray   # bool per node
+    manager_in: np.ndarray
+    max_out: np.ndarray       # int per node
+    max_in: np.ndarray
+    dp: tuple[int, ...]
+    dh: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _kind_columns(nodes: tuple[tuple[str, int], ...]) -> _KindColumns:
+    """Per-node kind attributes of a roster; shared, so read-only."""
+    kinds = [KINDS[tag] for tag, _inst in nodes]
+    arrays = [np.array([k.manager_out for k in kinds], dtype=bool),
+              np.array([k.manager_in for k in kinds], dtype=bool),
+              np.array([k.max_out for k in kinds]),
+              np.array([k.max_in for k in kinds])]
+    for a in arrays:
+        a.setflags(write=False)
+    return _KindColumns(*arrays, tuple(k.dp for k in kinds),
+                        tuple(k.dh for k in kinds))
+
+
+def _edge_rules(g: CycleGraph) -> list[tuple[str, np.ndarray]]:
+    """The edge rules in order: (message template, blocked pairs).
+
+    Each array broadcasts to n x n and is True where the rule forbids
+    activating (i, j); the template formats with ki/kj (kinds) and li/lj
+    (labels) of the pair.
+    """
+    adj = g.adj.astype(bool)
+    col = _kind_columns(g.nodes)
+    return [
+        ("self-loop forbidden", np.eye(len(g), dtype=bool)),
+        ("edge already active", adj),
+        ("antiparallel edge active", adj.T),
+        ("{ki.tag} outlet is reserved for internal wiring",
+         ~col.manager_out[:, None]),
+        ("{kj.tag} inlet is reserved for internal wiring",
+         ~col.manager_in[None, :]),
+        ("out-degree cap {ki.max_out} reached on {li}",
+         (adj.sum(axis=1) >= col.max_out)[:, None]),
+        ("inlet cap {kj.max_in} reached on {lj}",
+         (adj.sum(axis=0) >= col.max_in)[None, :]),
+    ]
+
+
+def _edge_mask(g: CycleGraph) -> np.ndarray:
+    """n x n boolean: True where activating (i, j) breaks no edge rule."""
+    blocked = np.zeros((len(g), len(g)), dtype=bool)
+    for _why, rule in _edge_rules(g):
+        blocked |= rule
+    return ~blocked
+
+
 def edge_legal(g: CycleGraph, i: int, j: int) -> str | None:
     """None if activating (i, j) is legal, else the violated rule name."""
     n = len(g)
     if not (0 <= i < n and 0 <= j < n):
         return "index out of range"
-    if i == j:
-        return "self-loop forbidden"
-    if g.adj[i, j]:
-        return "edge already active"
-    if g.adj[j, i]:
-        return "antiparallel edge active"
-    ki, kj = g.kind(i), g.kind(j)
-    if not ki.manager_out:
-        return f"{ki.tag} outlet is reserved for internal wiring"
-    if not kj.manager_in:
-        return f"{kj.tag} inlet is reserved for internal wiring"
-    if g.out_degree(i) >= ki.max_out:
-        return f"out-degree cap {ki.max_out} reached on {g.label(i)}"
-    if g.in_degree(j) >= kj.max_in:
-        return f"inlet cap {kj.max_in} reached on {g.label(j)}"
+    for why, rule in _edge_rules(g):
+        if np.broadcast_to(rule, (n, n))[i, j]:
+            return why.format(ki=g.kind(i), kj=g.kind(j),
+                              li=g.label(i), lj=g.label(j))
     return None
 
 
@@ -246,14 +295,7 @@ def apply_action(g: CycleGraph, action) -> CycleGraph:
 
 def legal_actions(g: CycleGraph) -> np.ndarray:
     """Boolean mask over the n*n edge actions plus trailing TERMINATE."""
-    n = len(g)
-    mask = np.zeros(n * n + 1, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and edge_legal(g, i, j) is None:
-                mask[i * n + j] = True
-    mask[-1] = structural_validity(g).valid
-    return mask
+    return np.append(_edge_mask(g).ravel(), structural_validity(g).valid)
 
 
 def action_from_index(g: CycleGraph, idx: int):
@@ -265,23 +307,66 @@ def action_from_index(g: CycleGraph, idx: int):
 
 # -- global validity ----------------------------------------------------
 
+def _successors(g: CycleGraph) -> list[list[int]]:
+    """Successor list of every node, in ascending index order."""
+    succ: list[list[int]] = [[] for _ in range(len(g))]
+    for i, j in g.edges():
+        succ[i].append(j)
+    return succ
+
+
+def _simple_paths(succ: list[list[int]], path: list[int], target: int,
+                  floor: int = -1):
+    """Simple paths that extend `path` to `target`, through nodes > floor.
+
+    Depth-first over successors in ascending order; a path ends at its
+    first visit to `target` and never runs through it.
+    """
+    for x in succ[path[-1]]:
+        if x == target:
+            yield path + [x]
+        elif x > floor and x not in path:
+            path.append(x)
+            yield from _simple_paths(succ, path, target, floor)
+            path.pop()
+
+
+def _loops(succ: list[list[int]]) -> list[list[int]]:
+    # a search from each start s over nodes > s finds every elementary
+    # cycle once, already rotated to its smallest node
+    loops = [p[:-1] for s in range(len(succ))
+             for p in _simple_paths(succ, [s], s, floor=s)]
+    loops.sort(key=lambda c: (len(c), c))
+    return loops
+
+
 def directed_loops(g: CycleGraph) -> list[list[int]]:
     """All elementary directed cycles of the activated subgraph.
 
     Each loop is rotated to start at its smallest node index; the list is
     sorted, so the order is deterministic.
     """
-    dg = nx.DiGraph(g.edges())
-    loops = []
-    for cyc in nx.simple_cycles(dg):
-        k = cyc.index(min(cyc))
-        loops.append([int(v) for v in cyc[k:] + cyc[:k]])
-    loops.sort(key=lambda c: (len(c), c))
-    return loops
+    return _loops(_successors(g))
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def _weakly_connected(succ: list[list[int]], active: list[int]) -> bool:
+    neighbours: list[list[int]] = [[] for _ in succ]
+    for i, js in enumerate(succ):
+        for j in js:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    seen = {active[0]}
+    todo = [active[0]]
+    while todo:
+        for w in neighbours[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(active)
 
 
 def structural_validity(g: CycleGraph) -> ValidityReport:
@@ -289,31 +374,28 @@ def structural_validity(g: CycleGraph) -> ValidityReport:
         return g._validity
     violations: list[tuple[str, str]] = []
     active = g.active_nodes()
-    edges = g.edges()
     if not active:
         report = ValidityReport((("Connection", "no activated nodes"),))
         g._validity = report
         return report
-    dg = nx.DiGraph()
-    dg.add_nodes_from(active)
-    dg.add_edges_from(edges)
+    succ = _successors(g)
+    loops = _loops(succ)
+    col = _kind_columns(g.nodes)
 
     # Connection: weakly connected, every activated node on a directed loop
-    if nx.number_weakly_connected_components(dg) > 1:
+    # (a node on a closed walk lies on an elementary cycle)
+    if not _weakly_connected(succ, active):
         violations.append(("Connection", "activated subgraph is disconnected"))
-    on_cycle = set()
-    for scc in nx.strongly_connected_components(dg):
-        if len(scc) > 1:
-            on_cycle.update(scc)
-    stranded = [g.label(v) for v in active if v not in on_cycle]
+    on_loop = {v for loop in loops for v in loop}
+    stranded = [g.label(v) for v in active if v not in on_loop]
     if stranded:
         violations.append(
             ("Connection", "nodes not on any closed loop: " + ", ".join(stranded)))
 
     # Pressure / Energy: every elementary loop needs a + and a - of each
-    for loop in directed_loops(g):
-        dps = {_sign(g.kind(v).dp) for v in loop}
-        dhs = {_sign(g.kind(v).dh) for v in loop}
+    for loop in loops:
+        dps = {_sign(col.dp[v]) for v in loop}
+        dhs = {_sign(col.dh[v]) for v in loop}
         name = "->".join(g.label(v) for v in loop)
         if not (1 in dps and -1 in dps):
             violations.append(("Pressure", f"loop {name} lacks dp +/- pair"))
@@ -321,19 +403,25 @@ def structural_validity(g: CycleGraph) -> ValidityReport:
             violations.append(("Energy", f"loop {name} lacks dh +/- pair"))
 
     # Parallelism: node-disjoint directed paths with shared endpoints must
-    # agree in net pressure and enthalpy direction.
+    # agree in net pressure and enthalpy direction.  Two such paths leave u
+    # by different edges and enter v by different edges, so only pairs
+    # with out-degree(u) >= 2 and in-degree(v) >= 2 can report anything.
+    out_deg = [len(s) for s in succ]
+    in_deg = g.adj.sum(axis=0).tolist()
     for u in active:
+        if out_deg[u] < 2:
+            continue
         for v in active:
-            if u == v:
+            if u == v or in_deg[v] < 2:
                 continue
-            paths = list(nx.all_simple_paths(dg, u, v))
+            paths = list(_simple_paths(succ, [u], v))
             if len(paths) < 2:
                 continue
             branches = []
             for path in paths:
                 interior = path[1:-1]
-                net_dp = _sign(sum(g.kind(w).dp for w in interior))
-                net_dh = _sign(sum(g.kind(w).dh for w in interior))
+                net_dp = _sign(sum(col.dp[w] for w in interior))
+                net_dh = _sign(sum(col.dh[w] for w in interior))
                 branches.append((set(interior), net_dp, net_dh, path))
             for (ia, dpa, dha, pa), (ib, dpb, dhb, pb) in \
                     itertools.combinations(branches, 2):
@@ -427,12 +515,11 @@ def enumerate_valid(component_limits: dict[str, int], max_edges: int,
         if g.edge_count() >= max_edges:
             return
         n = len(g)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        legal = np.flatnonzero(_edge_mask(g)).tolist()
         if reverse_order:
-            pairs.reverse()
-        for i, j in pairs:
-            if edge_legal(g, i, j) is None:
-                visit(apply_action(g, (i, j)))
+            legal.reverse()
+        for k in legal:
+            visit(apply_action(g, divmod(k, n)))
 
     visit(g0)
     return valid_keys

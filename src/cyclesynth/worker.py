@@ -10,10 +10,14 @@ steered away from, but still informed by, failed regions.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import qmc
 
@@ -84,6 +88,39 @@ def gp_fit(x: np.ndarray, y: np.ndarray,
     mean = float(np.mean(y))
     alpha = cho_solve((chol, True), y - mean, check_finite=False)
     return GpModel(x, y, sigma_f, lengthscale, jitter, chol, alpha, mean)
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pin_solver_threads() -> list[str]:
+    """Run scipy's bundled OpenBLAS on one thread; return the libraries set.
+
+    The GP's triangular solves go through scipy's OpenBLAS, on matrices a
+    few dozen rows wide, where threads make a call stall at random on a
+    shared machine (0.015 ms a call on one thread, up to 3 ms on two).
+    numpy bundles its own OpenBLAS, whose large products in surrogate
+    training run about a third faster on two threads, so it is left
+    alone; OPENBLAS_NUM_THREADS=1 would pin both.  Nothing is changed when
+    a thread count is set in the environment, or when scipy bundles no
+    OpenBLAS.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return []
+    root = os.path.dirname(scipy.__file__)
+    pinned = []
+    for path in sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned.append(path)
+                break
+    return pinned
 
 
 def gp_predict(model: GpModel, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -155,3 +158,13 @@ def test_bad_params_json_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_cli_import_does_not_load_networkx():
+    """A fresh `import cyclesynth.cli`, as the console script does it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, cyclesynth.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

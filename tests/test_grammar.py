@@ -1,5 +1,8 @@
 """Graph grammar: edge rules, validity, canonicalization, enumeration."""
 
+import itertools
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from cyclesynth.grammar import (
     canonical_hex, directed_loops, edge_legal, enumerate_valid, legal_actions,
     new_graph, structural_validity,
 )
+from cyclesynth.harness import load_config
 
 SIMPLE_ROSTER = {"compressor": 1, "heater": 1, "turbine": 1, "cooler": 1}
 
@@ -283,3 +287,147 @@ def test_export_dot_mentions_all_edges():
     assert dot.startswith("digraph")
     assert dot.count("->") >= g.edge_count()
     assert "CP#1" in dot
+
+
+# -- equivalence with per-pair and brute-force references ------------------
+
+def _reference_mask(g):
+    """The edge rules checked pair by pair, as edge_legal states them."""
+    n = len(g)
+    mask = np.zeros(n * n + 1, dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            ki, kj = g.kind(i), g.kind(j)
+            mask[i * n + j] = (i != j and not g.adj[i, j] and not g.adj[j, i]
+                               and ki.manager_out and kj.manager_in
+                               and g.out_degree(i) < ki.max_out
+                               and g.in_degree(j) < kj.max_in)
+    mask[-1] = not _reference_validity(g)
+    return mask
+
+
+def _reference_paths(g, u, v):
+    """Every simple path u -> v, depth-first over ascending successors."""
+    found = []
+
+    def walk(path):
+        for w in range(len(g)):
+            if not g.adj[path[-1], w]:
+                continue
+            if w == v:
+                found.append(path + [w])
+            elif w not in path:
+                walk(path + [w])
+
+    walk([u])
+    return found
+
+
+def _reference_loops(g):
+    """Each elementary cycle closes a simple path u -> w by an edge w -> u."""
+    loops = set()
+    for u in range(len(g)):
+        for w in range(len(g)):
+            if g.adj[w, u]:
+                for path in _reference_paths(g, u, w):
+                    k = path.index(min(path))
+                    loops.add(tuple(path[k:] + path[:k]))
+    return sorted((list(c) for c in loops), key=lambda c: (len(c), c))
+
+
+def _reference_validity(g):
+    """The validity rules with all simple paths of every ordered pair."""
+    sign = lambda x: (x > 0) - (x < 0)   # noqa: E731
+    active = g.active_nodes()
+    if not active:
+        return (("Connection", "no activated nodes"),)
+    violations = []
+    reached, grown = set(), {active[0]}
+    while grown:
+        reached |= grown
+        grown = {w for v in grown for w in range(len(g))
+                 if g.adj[v, w] or g.adj[w, v]} - reached
+    if reached != set(active):
+        violations.append(("Connection", "activated subgraph is disconnected"))
+    stranded = [g.label(v) for v in active
+                if not any(g.adj[w, v] and _reference_paths(g, v, w)
+                           for w in range(len(g)))]
+    if stranded:
+        violations.append(("Connection", "nodes not on any closed loop: "
+                           + ", ".join(stranded)))
+    for loop in _reference_loops(g):
+        dps = {sign(g.kind(v).dp) for v in loop}
+        dhs = {sign(g.kind(v).dh) for v in loop}
+        name = "->".join(g.label(v) for v in loop)
+        if not (1 in dps and -1 in dps):
+            violations.append(("Pressure", f"loop {name} lacks dp +/- pair"))
+        if not (1 in dhs and -1 in dhs):
+            violations.append(("Energy", f"loop {name} lacks dh +/- pair"))
+    for u in active:
+        for v in active:
+            if u == v:
+                continue
+            branches = []
+            for path in _reference_paths(g, u, v):
+                interior = path[1:-1]
+                branches.append((
+                    set(interior),
+                    sign(sum(g.kind(w).dp for w in interior)),
+                    sign(sum(g.kind(w).dh for w in interior)),
+                    "->".join(g.label(w) for w in path)))
+            for a, b in itertools.combinations(branches, 2):
+                if not a[0] & b[0] and a[1:3] != b[1:3]:
+                    violations.append(
+                        ("Parallelism",
+                         f"branches {a[3]} and {b[3]} disagree in net dp/dh"))
+    return tuple(violations)
+
+
+def _bundled_rosters():
+    cfg_dir = os.path.join(os.path.dirname(grammar.__file__), "configs")
+    return {name: load_config(os.path.join(cfg_dir, name)).components
+            for name in sorted(os.listdir(cfg_dir))}
+
+
+def test_masks_and_validity_match_references_on_random_walks():
+    rosters = _bundled_rosters()
+    assert "hp_case2.yaml" in rosters     # ejector and separator roster
+    rng = np.random.default_rng(7)
+    categories, valid_states, states = set(), 0, 0
+    for name, roster in rosters.items():
+        for _walk in range(16):
+            g = new_graph(roster)
+            while True:
+                mask = legal_actions(g)
+                report = structural_validity(g)
+                expected = _reference_validity(g)
+                assert report.violations == expected, (name, g)
+                assert np.array_equal(mask, _reference_mask(g)), (name, g)
+                assert directed_loops(g) == _reference_loops(g), (name, g)
+                states += 1
+                valid_states += report.valid
+                categories |= report.categories()
+                legal = np.flatnonzero(mask)
+                idx = int(rng.choice(legal)) if legal.size else len(mask) - 1
+                if idx == len(mask) - 1:
+                    break
+                g = apply_action(g, grammar.action_from_index(g, idx))
+    assert valid_states > 0
+    assert categories == {"Connection", "Pressure", "Energy", "Parallelism"}
+    assert states > 500
+
+
+def test_edge_legal_messages_follow_rule_order():
+    g = new_graph({"compressor": 1, "ejector": 1, "gas_cooler": 1})
+    cp, ev, em, gc = (_index(g, t) for t in ("CP", "Ev", "Em", "GC"))
+    assert edge_legal(g, cp, 99) == "index out of range"
+    assert edge_legal(g, cp, cp) == "self-loop forbidden"
+    assert edge_legal(g, ev, cp) == "Ev outlet is reserved for internal wiring"
+    assert edge_legal(g, cp, em) == "Em inlet is reserved for internal wiring"
+    g = apply_action(g, (cp, gc))
+    assert edge_legal(g, cp, gc) == "edge already active"
+    assert edge_legal(g, gc, cp) == "antiparallel edge active"
+    g = apply_action(g, (cp, ev))
+    assert edge_legal(g, cp, _index(g, "Ec")) == \
+        "out-degree cap 2 reached on CP#1"
+    assert edge_legal(g, em, gc) == "inlet cap 1 reached on GC#1"

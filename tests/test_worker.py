@@ -1,6 +1,9 @@
 """GP regression, UCB search loop, parameter optimization and cache."""
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -420,3 +423,34 @@ def test_export_evaluations_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("index,objective")
     assert len(lines) == 1 + res.n_evals
+
+
+_PIN_PROBE = """
+import ctypes, json
+from cyclesynth import worker
+
+def threads(path):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+
+paths = worker.pin_solver_threads()
+print(json.dumps([threads(p) for p in paths]))
+"""
+
+
+def _pin_in_fresh_process(**blas_env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worker.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in worker.BLAS_THREAD_VARS}
+    env.update(blas_env, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_pin_solver_threads_sets_scipy_openblas_to_one_thread():
+    assert _pin_in_fresh_process() == [1]
+    # a thread count the user set is left to OpenBLAS
+    assert _pin_in_fresh_process(OPENBLAS_NUM_THREADS="3") == []
