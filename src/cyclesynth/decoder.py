@@ -1,18 +1,19 @@
 """Physics decoder: simultaneous state-point solving over a cycle graph.
 
-Every activated edge carries a stream; each of its two endpoints is a
-port holding a (p, h, m) triple.  The decoder assembles one square
-nonlinear system out of edge equalities, per-component relations and
-per-pressure-segment level pins, and hands it to a damped hybrid
-Powell solver.  Post-solve checks cover heat-transfer direction,
-pressure direction and net performance.  `evaluate` is the one
-solve-and-check sequence: `decode` and the Worker's objective both
-call it.
+Every activated edge carries one stream with one enthalpy h and one
+mass flow m.  A pressure segment is the set of ports (edge endpoints)
+connected through edges and isobaric components; pressure-changing
+components break segments, and each segment has one pressure p.  The
+unknowns are therefore one p per segment and one (h, m) per edge.
 
-A pressure segment is the set of ports connected through edges and
-isobaric components; pressure-changing components break segments.  Each
-segment contributes chain equalities plus exactly one level pin, so the
-system stays square for every grammatically valid structure.
+The equations are one enthalpy and one mass relation per component
+outlet (every edge starts at exactly one outlet) plus one level pin per
+segment: a named pressure parameter or the ejector's diffuser relation.
+The system is thus square for every grammatically valid structure, and
+a damped hybrid Powell solver resolves it.  Post-solve checks cover
+heat-transfer direction, pressure direction and net performance.
+`evaluate` is the one solve-and-check sequence: `decode` and the
+Worker's objective both call it.
 """
 
 from __future__ import annotations
@@ -182,26 +183,24 @@ class CycleSystem:
         self.edges = sorted(graph.edges())
         self.active = graph.active_nodes()
 
-        # ports: (edge, side); the tail's outlet then the head's inlet
+        # ports of edge e: 2e is the tail's outlet, 2e + 1 the head's inlet
         self.ports: list[tuple[tuple[int, int], str]] = []
-        for e in self.edges:
-            self.ports.append((e, "out"))
-            self.ports.append((e, "in"))
-        self.pidx = {pt: k for k, pt in enumerate(self.ports)}
-        self.n_ports = len(self.ports)
-
         self.in_ports: dict[int, list[int]] = {v: [] for v in self.active}
         self.out_ports: dict[int, list[int]] = {v: [] for v in self.active}
-        for (i, j), _side in self.ports:
-            self.out_ports[i].append(self.pidx[((i, j), "out")])
-            self.in_ports[j].append(self.pidx[((i, j), "in")])
+        for e, (i, j) in enumerate(self.edges):
+            self.ports += [((i, j), "out"), ((i, j), "in")]
+            self.out_ports[i].append(2 * e)
+            self.in_ports[j].append(2 * e + 1)
+        self.n_ports = len(self.ports)
         for v in self.active:
-            self.out_ports[v] = sorted(set(self.out_ports[v]))
-            self.in_ports[v] = sorted(set(self.in_ports[v]))
             if not self.in_ports[v] or not self.out_ports[v]:
                 raise DecodeError(f"{graph.label(v)} lacks an inlet or outlet")
 
         self.segments = self._pressure_segments()
+        self.port_seg = np.empty(self.n_ports, dtype=int)
+        for s, seg in enumerate(self.segments):
+            self.port_seg[seg] = s
+        self.n_unknowns = len(self.segments) + 2 * len(self.edges)
         self.pins = self._classify_pins()
         self._anchor_node = self._pick_mass_anchor()
 
@@ -219,8 +218,8 @@ class CycleSystem:
         def union(a: int, b: int) -> None:
             parent[find(a)] = find(b)
 
-        for e in self.edges:
-            union(self.pidx[(e, "out")], self.pidx[(e, "in")])
+        for k in range(0, self.n_ports, 2):
+            union(k, k + 1)
         for v in self.active:
             tag = self.graph.nodes[v][0]
             if tag in _ISOBARIC_TAGS:
@@ -284,9 +283,15 @@ class CycleSystem:
     # -- residuals -------------------------------------------------------
 
     def unscale(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Port pressures, enthalpies and mass flows of a solution vector."""
-        P = self.n_ports
-        return xs[:P] * P_SCALE, xs[P:2 * P] * H_SCALE, xs[2 * P:] * M_SCALE
+        """Per-port p, h and m of xs = [p per segment | h per edge | m per edge].
+
+        Port k reads the pressure of its segment and the h and m of its
+        edge k // 2.
+        """
+        S, E = len(self.segments), len(self.edges)
+        return (xs[:S][self.port_seg] * P_SCALE,
+                np.repeat(xs[S:S + E], 2) * H_SCALE,
+                np.repeat(xs[S + E:], 2) * M_SCALE)
 
     def _separator_sat(self, p: float, note) -> tuple[float, float]:
         """(hl, hv) at p clamped into the dome's pressure range."""
@@ -322,12 +327,6 @@ class CycleSystem:
             if cl:
                 note[0] = True
             return hh
-
-        # edge equalities; pressure ties live in the segment equations
-        for e in self.edges:
-            a, b = self.pidx[(e, "out")], self.pidx[(e, "in")]
-            res.append((h[a] - h[b]) / H_SCALE)
-            res.append((m[a] - m[b]) / M_SCALE)
 
         # enthalpy relations, one per outlet port
         for v in self.active:
@@ -416,11 +415,9 @@ class CycleSystem:
                 res.append((m[outs[0]] - r * tot_in) / M_SCALE)
                 res.append((m[outs[1]] - (1.0 - r) * tot_in) / M_SCALE)
 
-        # pressure segments: chain equalities plus one pin each
+        # one level pin per pressure segment
         for seg, (kind, ref) in zip(self.segments, self.pins):
             rep = seg[0]
-            for k in seg[1:]:
-                res.append((p[k] - p[rep]) / P_SCALE)
             if kind == "param":
                 res.append((p[rep] - params[ref]) / P_SCALE)
             else:  # diffuser pressure recovery on the Em outlet segment
@@ -440,24 +437,23 @@ class CycleSystem:
                             - (h_rec - h_mix)) / H_SCALE)
 
         out = np.asarray(res, dtype=float)
-        if out.size != 3 * self.n_ports:
+        if out.size != self.n_unknowns:
             raise DecodeError(
                 f"system is not square: {out.size} equations, "
-                f"{3 * self.n_ports} unknowns")
+                f"{self.n_unknowns} unknowns")
         return out
 
     # -- initial guess ---------------------------------------------------
 
     def initial_guess(self, params: dict[str, float]) -> np.ndarray:
-        P = self.n_ports
-        p0 = np.full(P, math.sqrt(self.bc.p_lo * self.bc.p_hi))
-        for seg, (kind, ref) in zip(self.segments, self.pins):
-            if kind == "param":
-                p0[list(seg)] = params[ref]
+        p_mid = math.sqrt(self.bc.p_lo * self.bc.p_hi)
+        p0 = np.array([params[ref] if kind == "param" else p_mid
+                       for kind, ref in self.pins])
         t_mid = 0.5 * (self.bc.t_source + self.bc.t_sink)
         t_mid = min(max(t_mid, fluids.T_MIN + 10.0), fluids.T_MAX - 10.0)
-        h0 = np.full(P, fluids.H_REF + (t_mid - fluids.T_REF))
-        m0 = np.ones(P)
+        E = len(self.edges)
+        h0 = np.full(E, fluids.H_REF + (t_mid - fluids.T_REF))
+        m0 = np.ones(E)
         return np.concatenate([p0 / P_SCALE, h0 / H_SCALE, m0 / M_SCALE])
 
     def required_parameters(self) -> list[str]:

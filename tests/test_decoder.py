@@ -1,11 +1,12 @@
 """State-point solver: assembly counting, closed forms, conservation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cyclesynth import decoder, grammar
+from cyclesynth import decoder, grammar, harness
 from cyclesynth.decoder import (
     BoundaryConditions, CycleSystem, DecodeError, Efficiencies,
     STATUS_CONVERGED, STATUS_NOT_CONVERGED, decode, hybrid_solve,
@@ -81,10 +82,13 @@ def test_hybrid_solve_reports_no_root_without_nan():
 def test_brayton_system_is_square(fluid):
     sys_ = CycleSystem(brayton(), HE_BC, fluid)
     assert sys_.n_ports == 8            # 4 edges, 2 ports each
-    n = 3 * sys_.n_ports
+    assert len(sys_.segments) == 2      # high and low pressure
+    n = len(sys_.segments) + 2 * len(sys_.edges)
+    assert n == sys_.n_unknowns == 10   # p per segment, (h, m) per edge
     params = {"p_suc_CP#1": 140.0, "p_dis_CP#1": 420.0}
-    res = sys_.residuals(sys_.initial_guess(params), params)
-    assert res.shape == (n,)            # 24 equations, 24 unknowns
+    xs = sys_.initial_guess(params)
+    assert xs.shape == (n,)
+    assert sys_.residuals(xs, params).shape == (n,)
 
 
 def test_brayton_parameter_space(fluid):
@@ -230,26 +234,28 @@ def test_merge_energy_balance_is_mass_weighted(fluid):
     g = sys_.graph
     idx = {g.label(i): i for i in range(len(g))}
     m_node = idx["M#1"]
-    k_out = sys_.out_ports[m_node][0]
-    k_in = sys_.in_ports[m_node]
+    # ports 2e and 2e + 1 belong to edge e
+    e_out = sys_.out_ports[m_node][0] // 2
+    e_in = [k // 2 for k in sys_.in_ports[m_node]]
     params = {"p_suc_CP#1": 140.0, "p_dis_CP#1": 560.0, "r_HT#1": 0.5}
     xs = sys_.initial_guess(params)
-    P = sys_.n_ports
-    xs[P + k_in[0]] = 100.0 / decoder.H_SCALE
-    xs[P + k_in[1]] = 300.0 / decoder.H_SCALE
-    xs[2 * P + k_in[0]] = 1.0
-    xs[2 * P + k_in[1]] = 1.0
-    xs[2 * P + k_out] = 2.0
-    xs[P + k_out] = 200.0 / decoder.H_SCALE
+    H = len(sys_.segments)              # h per edge, then m per edge
+    M = H + len(sys_.edges)
+    xs[H + e_in[0]] = 100.0 / decoder.H_SCALE
+    xs[H + e_in[1]] = 300.0 / decoder.H_SCALE
+    xs[M + e_in[0]] = 1.0
+    xs[M + e_in[1]] = 1.0
+    xs[M + e_out] = 2.0
+    xs[H + e_out] = 200.0 / decoder.H_SCALE
     res_ok = sys_.residuals(xs, params)
     xs2 = xs.copy()
-    xs2[P + k_out] = 210.0 / decoder.H_SCALE
+    xs2[H + e_out] = 210.0 / decoder.H_SCALE
     res_off = sys_.residuals(xs2, params)
     changed = np.flatnonzero(np.abs(res_ok - res_off) > 1e-12)
-    # the mix-outlet enthalpy enters the merge energy balance and the
-    # downstream edge equality; the balance residual moves by m*dh/scale
+    # the mix-outlet enthalpy enters only the merge energy balance, which
+    # moves by m*dh/scale
     deltas = (res_off - res_ok)[changed]
-    assert np.any(np.isclose(deltas, 2.0 * 10.0 / decoder.H_SCALE))
+    assert np.allclose(deltas, [2.0 * 10.0 / decoder.H_SCALE])
 
 
 def test_valve_is_isenthalpic(fluid):
@@ -289,6 +295,67 @@ def test_reverse_brayton_heat_pump_cop(fluid):
     assert res.feasible, res.violations
     assert res.performance > 1.0        # COP of a working heat pump
     assert res.q_out == pytest.approx(res.performance * res.w_net, rel=1e-9)
+
+
+EJECTOR_HP = ("CP#1>GC#1;GC#1>Ev#1;Em#1>S#1;SV#1>CP#1;SL#1>EV#1;"
+              "EV#1>EVAP#1;EVAP#1>Ec#1")
+
+
+def test_ejector_diffuser_pin_and_separator(monkeypatch):
+    # the grammar's Parallelism rule rejects this textbook two-phase
+    # ejector heat pump; the decoder is exercised on it regardless
+    monkeypatch.setattr(grammar, "structural_validity",
+                        lambda g: grammar.ValidityReport(()))
+    spec = harness.load_config(
+        os.path.join(os.path.dirname(harness.__file__), "configs",
+                     "hp_case2.yaml"))
+    g = harness.build_graph(spec.components, EJECTOR_HP)
+    bc, fl, eta = spec.boundary_conditions(), spec.make_fluid(), spec.eta()
+    params = {"p_dis_CP#1": 4700.0, "p_seg0": 2500.0, "p_seg1": 2800.0}
+
+    sys_ = CycleSystem(g, bc, fl, eta)
+    assert [kind for kind, _ in sys_.pins].count("diffuser") == 1
+    n = len(sys_.segments) + 2 * len(sys_.edges)
+    assert sys_.residuals(sys_.initial_guess(params), params).shape == (n,)
+
+    res = decode(g, params, bc, fl, eta)
+    assert res.status == STATUS_CONVERGED
+    assert res.feasible, res.violations
+    port = {(r.edge, r.side): r for r in res.ports}
+    motive = port[("GC#1->Ev#1", "in")]       # nozzle inlet
+    entrained = port[("EVAP#1->Ec#1", "in")]  # suction inlet
+    nozzle = port[("Ev#1->Em#1", "in")]
+    suction = port[("Ec#1->Em#1", "in")]
+    mixed = port[("Em#1->S#1", "out")]
+
+    # mixer: mass balance, and the energy balance of the whole ejector,
+    # whose inlets are the nozzle's and the suction's
+    assert mixed.m == pytest.approx(nozzle.m + suction.m, abs=1e-9)
+    assert (nozzle.m, suction.m) == pytest.approx((motive.m, entrained.m))
+    assert mixed.m * mixed.h == pytest.approx(
+        motive.m * motive.h + entrained.m * entrained.h, abs=1e-6)
+    # diffuser: from the static mix at the mixing pressure, the outlet
+    # enthalpy rise is the isentropic one over eta_d
+    assert nozzle.p == pytest.approx(suction.p)
+    assert mixed.p > nozzle.p
+    h_mix = (nozzle.m * nozzle.h + suction.m * suction.h) / mixed.m
+    s_mix = fl.ph_to_tsq(nozzle.p, h_mix).s
+    h_rec = fl.ps_to_h(mixed.p, s_mix)
+    assert eta.diffuser * (mixed.h - h_mix) == pytest.approx(
+        h_rec - h_mix, abs=1e-6)
+
+    # separator: vapour and liquid leave on the dome at the inlet pressure
+    _t, hl, hv = fl.p_to_sat(mixed.p)
+    vapour = port[("SV#1->CP#1", "out")]
+    liquid = port[("SL#1->EV#1", "out")]
+    assert vapour.p == pytest.approx(mixed.p, abs=1e-9)
+    assert liquid.p == pytest.approx(mixed.p, abs=1e-9)
+    assert vapour.h == pytest.approx(hv, abs=1e-6)
+    assert liquid.h == pytest.approx(hl, abs=1e-6)
+    q = (mixed.h - hl) / (hv - hl)
+    assert 0.0 < q < 1.0
+    assert vapour.m == pytest.approx(q * mixed.m, abs=1e-9)
+    assert liquid.m == pytest.approx((1.0 - q) * mixed.m, abs=1e-9)
 
 
 def test_degenerate_loop_converges_but_infeasible(fluid):
