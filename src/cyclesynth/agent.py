@@ -397,7 +397,9 @@ def train_manager(env, cfg: PpoConfig, total_episodes: int, seed: int,
     """PPO with performance backpropagation, elite memory, staged weights.
 
     env is duck-typed: reset() -> (obs, mask), step(a) -> (obs, mask, r,
-    done, info), plus obs_dim / n_actions attributes.
+    done, info), plus obs_dim / n_actions attributes.  With a
+    checkpoint_path the training state is saved once: at the end, or
+    before a diverging step if DivergenceError is raised.
     """
     init_rng = substream(seed, "manager", "init")
     act_rng = substream(seed, "manager", "collect")
@@ -494,14 +496,14 @@ def train_manager(env, cfg: PpoConfig, total_episodes: int, seed: int,
                     last = LossParts(tot, parts.policy, parts.value,
                                      parts.entropy, l_elite)
             buffer.clear()
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, model, adam, elite,
-                                episode, (act_rng, shuffle_rng))
 
         log.append(LogRow(episode, valid, perf,
                           _rolling_rate(valid_flags), last.policy,
                           last.value, last.entropy, last.elite, stage))
 
+    if checkpoint_path is not None:
+        save_checkpoint(checkpoint_path, model, adam, elite, total_episodes,
+                        (act_rng, shuffle_rng))
     if log_path is not None:
         export_training_log(log, log_path)
     return TrainResult(model, log, discovered, discovered_graphs, elite,
@@ -569,7 +571,7 @@ def export_training_log(log: list[LogRow], path) -> None:
 # A checkpoint is a JSON document whose numeric arrays are objects
 # {"dtype", "shape", "b64"}, b64 being the base64 of the raw little-endian
 # bytes: they read back bitwise, and the ~128 k parameter and Adam moment
-# floats rewritten after every update cost no float-to-text conversion.
+# floats cost no float-to-text conversion.
 CHECKPOINT_FORMAT = "ckpt-b64v1"
 
 

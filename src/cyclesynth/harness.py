@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -25,15 +25,9 @@ class ConfigError(ValueError):
     """Raised on malformed or invalid case configuration."""
 
 
-_TOP_KEYS = {"mode", "t_source", "t_sink", "dt_min", "p_min", "p_max",
-             "components", "fluid",
-             "efficiencies", "worker_budget", "refine_budget", "episodes",
-             "baseline_episodes", "t_max", "seed", "ppo"}
-_EFF_KEYS = {"compressor", "turbine", "nozzle", "diffuser"}
+_EFF_KEYS = {f.name for f in fields(decoder.Efficiencies)}
 _BUDGET_KEYS = {"n_init", "n_iter"}
-_PPO_KEYS = {"gamma", "clip_eps", "value_weight", "lr", "entropy_weights",
-             "elite_weights", "alpha_backprop", "epochs", "minibatch",
-             "update_every", "t_max", "elite_capacity", "stage_fraction"}
+_PPO_KEYS = {f.name for f in fields(agent.PpoConfig)}
 
 TAG_SIMPLE = "Simple"
 TAG_HIGH_SPLIT = "HighMidPressureSplit"
@@ -115,6 +109,9 @@ class CaseSpec:
                              (self.refine_budget, "refine_budget")):
             if len(budget) != 2 or any(int(b) < 0 for b in budget):
                 raise ConfigError(f"{name} must be two non-negative counts")
+
+
+_TOP_KEYS = {f.name for f in fields(CaseSpec)}
 
 
 def _budget(doc, key, default) -> tuple[int, int]:
@@ -315,7 +312,6 @@ def run_experiment(spec: CaseSpec, out_dir) -> ExperimentReport:
     report = ExperimentReport(cycles, result.valid_rate, unmasked, masked,
                               result.log)
     export_report_csv(report, os.path.join(out_dir, "report.csv"))
-    export_curves(result.log, os.path.join(out_dir, "curves.csv"))
     export_baseline_csv(report, os.path.join(out_dir, "baseline.csv"))
     dot_dir = os.path.join(out_dir, "dot")
     os.makedirs(dot_dir, exist_ok=True)
@@ -335,14 +331,6 @@ def export_report_csv(report: ExperimentReport, path) -> None:
                               for k, v in sorted(c.params.items()))
             wr.writerow([rank, c.key, f"{c.performance:.10f}", c.tag,
                          c.edges, params])
-
-
-def export_curves(log: list[agent.LogRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["episode", "rolling_valid_rate"])
-        for row in log:
-            wr.writerow([row.episode, f"{row.rolling_valid_rate:.6f}"])
 
 
 def export_baseline_csv(report: ExperimentReport, path) -> None:

@@ -300,12 +300,13 @@ def train_surrogate(dataset: PropertyDataset, cfg: TrainConfig,
                     verbose: bool = False) -> tuple[nn.MlpModel, ErrorReport]:
     """Train one surrogate network and report held-out error statistics.
 
-    Multi-target schemas are trained one output column at a time and the
-    per-column networks are merged into a single block-diagonal network:
-    a discontinuous column (vapor quality) otherwise drags down the
-    smooth ones through the shared hidden layers.  `hidden` may be a
-    single layer-width list (used for every column) or a dict mapping
-    target-column name to a list; all lists must have the same depth.
+    Each output column is trained as its own network and the per-column
+    networks are merged into a single block-diagonal network (one part
+    for a single-target schema): trained jointly, a discontinuous column
+    (vapor quality) drags down the smooth ones through the shared hidden
+    layers.  `hidden` may be a single layer-width list (used for every
+    column) or a dict mapping target-column name to a list; all lists
+    must have the same depth.
     """
     in_cols, out_cols = SCHEMAS[dataset.schema]
     if hidden is None:
@@ -327,26 +328,20 @@ def train_surrogate(dataset: PropertyDataset, cfg: TrainConfig,
     def widths_for(col: str) -> list[int]:
         return list(hidden[col] if isinstance(hidden, dict) else hidden)
 
-    if len(out_cols) == 1:
-        dims = [len(in_cols)] + widths_for(out_cols[0]) + [1]
-        model, best_val, epochs_run = _fit_network(
-            x_tr, y_tr, x_va, y_va, dims, cfg, rng, dataset.schema,
-            verbose, out_cols[0])
-    else:
-        parts, vals, epochs = [], [], []
-        for j, col in enumerate(out_cols):
-            dims = [len(in_cols)] + widths_for(col) + [1]
-            part, bv, er = _fit_network(
-                x_tr, y_tr[:, j:j + 1], x_va, y_va[:, j:j + 1],
-                dims, cfg, rng, dataset.schema, verbose, col)
-            parts.append(part)
-            vals.append(bv)
-            epochs.append(er)
-        model = _merge_single_output_models(parts, dataset.schema)
-        # the joint validation loss sums over output features, so the
-        # per-column best losses add up
-        best_val = float(sum(vals))
-        epochs_run = max(epochs)
+    parts, vals, epochs = [], [], []
+    for j, col in enumerate(out_cols):
+        dims = [len(in_cols)] + widths_for(col) + [1]
+        part, bv, er = _fit_network(
+            x_tr, y_tr[:, j:j + 1], x_va, y_va[:, j:j + 1],
+            dims, cfg, rng, dataset.schema, verbose, col)
+        parts.append(part)
+        vals.append(bv)
+        epochs.append(er)
+    model = _merge_single_output_models(parts, dataset.schema)
+    # the joint validation loss sums over output features, so the
+    # per-column best losses add up
+    best_val = float(sum(vals))
+    epochs_run = max(epochs)
 
     pred_te = nn.mlp_forward(model, x_te)
     rel = relative_errors(pred_te, y_te)

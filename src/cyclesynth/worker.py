@@ -263,23 +263,28 @@ def optimize_parameters(graph: grammar.CycleGraph,
         if hit is not None:
             hit.cache_hit = True
             return hit
+    result = _optimize_uncached(graph, bc, fluid, budget, seed, eta)
+    if cache is not None:
+        cache.put(graph, bc, result, *settings)
+    return result
+
+
+def _optimize_uncached(graph: grammar.CycleGraph,
+                       bc: decoder.BoundaryConditions, fluid,
+                       budget: WorkerBudget, seed: int,
+                       eta: decoder.Efficiencies | None) -> WorkerResult:
+    """The uncached Worker pass behind optimize_parameters."""
     try:
         system = decoder.CycleSystem(graph, bc, fluid, eta)
     except decoder.DecodeError:
-        result = WorkerResult({}, PENALTY, False, 0)
-        if cache is not None:
-            cache.put(graph, bc, result, *settings)
-        return result
+        return WorkerResult({}, PENALTY, False, 0)
     specs = system.parameter_space()
     evaluate = penalized_objective(system, specs)
     history: list[Evaluation] = []
 
     if not specs:
         obj, feas, perf, params = evaluate(np.empty(0))
-        result = WorkerResult(params, perf if feas else PENALTY, feas, 1)
-        if cache is not None:
-            cache.put(graph, bc, result, *settings)
-        return result
+        return WorkerResult(params, perf if feas else PENALTY, feas, 1)
 
     def objective(x: np.ndarray) -> float:
         obj, feas, perf, params = evaluate(x)
@@ -291,13 +296,9 @@ def optimize_parameters(graph: grammar.CycleGraph,
     feas_evals = [e for e in history if e.feasible]
     if feas_evals:
         best = max(feas_evals, key=lambda e: e.performance)
-        result = WorkerResult(best.params, best.performance, True,
-                              len(history), history)
-    else:
-        result = WorkerResult({}, PENALTY, False, len(history), history)
-    if cache is not None:
-        cache.put(graph, bc, result, *settings)
-    return result
+        return WorkerResult(best.params, best.performance, True,
+                            len(history), history)
+    return WorkerResult({}, PENALTY, False, len(history), history)
 
 
 def export_evaluations_csv(result: WorkerResult, path) -> None:

@@ -285,6 +285,17 @@ def test_training_log_and_stage_schedule(tmp_path):
     assert stages[16:] == [1] * 16
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 33
+    assert lines[0] == ("episode,valid,performance,rolling_valid_rate,"
+                        "loss_policy,loss_value,loss_entropy,loss_elite,"
+                        "stage")
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    # bandit episodes never end valid
+    assert (rows[0]["episode"], rows[0]["rolling_valid_rate"]) \
+        == ("1", "0.000000")
+    assert [(r["episode"], r["rolling_valid_rate"]) for r in rows] \
+        == [(str(r.episode), f"{r.rolling_valid_rate:.6f}")
+            for r in result.log]
 
 
 class EliteEnv:
@@ -355,6 +366,68 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
         fresh = np.random.default_rng()
         fresh.bit_generator.state = state
         assert np.array_equal(fresh.random(8), train_rng.random(8))
+
+
+def _count_saves(monkeypatch):
+    calls = []
+    real_save = agent.save_checkpoint
+
+    def counting(*args):
+        calls.append(args[4])                     # the episode
+        real_save(*args)
+
+    monkeypatch.setattr(agent, "save_checkpoint", counting)
+    return calls
+
+
+def test_checkpoint_holds_the_final_state(tmp_path, monkeypatch):
+    # 36 episodes at update_every=8: the elite entries of episodes 33-36
+    # come after the last update and must still reach the file
+    saves = _count_saves(monkeypatch)
+    cfg = PpoConfig(t_max=2, update_every=8)
+    path = tmp_path / "ckpt.json"
+    result = train_manager(EliteEnv(), cfg, total_episodes=36, seed=0,
+                           checkpoint_path=path)
+    assert saves == [36]
+    model, _adam, elite, episode, _rngs = agent.load_checkpoint(path)
+    assert episode == 36
+    for pa, pb in zip(model.parameters(), result.model.parameters(),
+                      strict=True):
+        assert pa.dtype == pb.dtype and pa.tobytes() == pb.tobytes()
+    assert elite.capacity == result.elite.capacity
+    assert [(e.key, e.performance) for e in elite.entries] \
+        == [(e.key, e.performance) for e in result.elite.entries]
+
+
+class NanEnv:
+    """One-step environment whose reward is not a number."""
+
+    obs_dim = 4
+    n_actions = 4
+
+    def reset(self):
+        return np.zeros(4), np.ones(4, dtype=bool)
+
+    def step(self, action):
+        return (np.zeros(4), np.ones(4, dtype=bool), float("nan"), True,
+                {"valid": False})
+
+
+def test_divergence_writes_checkpoint_then_raises(tmp_path, monkeypatch):
+    saves = _count_saves(monkeypatch)
+    cfg = PpoConfig(t_max=1, update_every=8)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(agent.DivergenceError,
+                       match="^non-finite loss at episode 8$"):
+        train_manager(NanEnv(), cfg, total_episodes=32, seed=0,
+                      checkpoint_path=path)
+    assert saves == [8]
+    model, adam, _elite, episode, _rngs = agent.load_checkpoint(path)
+    assert episode == 8
+    assert adam.t == 0
+    fresh = ActorCritic(4, 4, substream(0, "manager", "init"))
+    for pa, pb in zip(model.parameters(), fresh.parameters(), strict=True):
+        assert pa.tobytes() == pb.tobytes()
 
 
 def test_checkpoint_rejects_decimal_layout(tmp_path):

@@ -120,9 +120,10 @@ def test_train_agent_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["train-agent", "--config", cfg, "--out", str(out)])
     assert rc == cli.EXIT_OK
-    for name in ("report.csv", "curves.csv", "baseline.csv",
-                 "train_log.csv", "checkpoint.json", "worker_cache.jsonl"):
+    for name in ("report.csv", "baseline.csv", "train_log.csv",
+                 "checkpoint.json", "worker_cache.jsonl"):
         assert (out / name).exists(), name
+    assert not (out / "curves.csv").exists()
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -235,24 +235,18 @@ def test_report_csv_exports_are_deterministic(tmp_path):
     assert len(lines) == 2
 
 
-def test_baseline_and_curves_exports(tmp_path):
+def test_baseline_csv_export(tmp_path):
     report = _fake_report()
     harness.export_baseline_csv(report, tmp_path / "baseline.csv")
-    harness.export_curves(report.log, tmp_path / "curves.csv")
     base = (tmp_path / "baseline.csv").read_text().strip().splitlines()
     assert len(base) == 4                 # header + agent + two baselines
-    curves = (tmp_path / "curves.csv").read_text().strip().splitlines()
-    assert curves[1] == "1,1.000000"
 
 
 def test_empty_report_exports_headers_only(tmp_path):
     stats = agent.SearchStats(0, 0, 0.0, {})
     report = harness.ExperimentReport([], 0.0, stats, stats, [])
     harness.export_report_csv(report, tmp_path / "report.csv")
-    harness.export_curves([], tmp_path / "curves.csv")
     assert len((tmp_path / "report.csv").read_text().strip()
-               .splitlines()) == 1
-    assert len((tmp_path / "curves.csv").read_text().strip()
                .splitlines()) == 1
 
 
