@@ -105,6 +105,13 @@ class CaseSpec:
         bad = set(self.ppo) - _PPO_KEYS
         if bad:
             raise ConfigError(f"unknown ppo keys: {sorted(bad)}")
+        # the Manager must collect each episode until the environment ends
+        # it, or the last transition lacks its done flag and the returns
+        # run on into the next episode
+        if "t_max" in self.ppo and self.ppo["t_max"] != self.t_max:
+            raise ConfigError(
+                f"ppo.t_max={self.ppo['t_max']} differs from "
+                f"t_max={self.t_max}; set the top-level t_max only")
         for budget, name in ((self.worker_budget, "worker_budget"),
                              (self.refine_budget, "refine_budget")):
             if len(budget) != 2 or any(int(b) < 0 for b in budget):

@@ -128,6 +128,19 @@ def test_ppo_overrides_apply(tmp_path):
     assert cfg.t_max == spec.t_max
 
 
+def test_ppo_t_max_must_match_episode_length(tmp_path):
+    # a shorter Manager t_max would end episodes before the environment's
+    # done flag, and the returns would run on into the next episode
+    doc = _base_doc()
+    doc["t_max"] = 12
+    doc["ppo"] = {"t_max": 3}
+    with pytest.raises(ConfigError, match="t_max"):
+        load_config(_write(tmp_path, doc))
+    doc["ppo"] = {"t_max": 12}
+    spec = load_config(_write(tmp_path, doc))
+    assert spec.ppo_config().t_max == 12
+
+
 def test_bundled_configs_parse():
     import cyclesynth
     import os

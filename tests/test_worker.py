@@ -7,14 +7,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import qmc
 
 import cyclesynth
 from cyclesynth import decoder, grammar, harness, worker
 from cyclesynth.fluids import AnalyticFluid
 from cyclesynth.worker import (
-    N_ACQ_REFINE, N_ACQ_STARTS, WorkerBudget, WorkerCache, gp_fit,
+    N_ACQ_REFINE, N_ACQ_STARTS, GpModel, WorkerBudget, WorkerCache, gp_fit,
     gp_predict, maximize, optimize_parameters, propose_next, ucb,
 )
 
@@ -137,6 +138,70 @@ def test_gp_predict_row_does_not_depend_on_its_batch():
             assert mu_k[0] == mu[k] and sigma_k[0] == sigma[k]
 
 
+def _reference_kernel(a, b, sigma_f, ell):
+    """The kernel as first written: one broadcast (len(a), len(b), dim)."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    return sigma_f ** 2 * np.exp(-0.5 * d2 / ell ** 2)
+
+
+def _reference_predict(model, xq):
+    """gp_predict as first written: solve_triangular and np.clip."""
+    n_q = len(xq)
+    xq = np.vstack([xq, np.zeros((-n_q % worker.PREDICT_BLOCK,
+                                  xq.shape[1]))])
+    ks = _reference_kernel(xq, model.x, model.sigma_f, model.lengthscale)
+    mu = model.mean + ks @ model.alpha
+    v = solve_triangular(model.chol, ks.T, lower=True, check_finite=False)
+    var = model.sigma_f ** 2 - (v ** 2).sum(axis=0)
+    return mu[:n_q], np.sqrt(np.clip(var[:n_q], 0.0, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 9), n=st.integers(1, 150), repeats=st.booleans(),
+       log_scale=st.floats(-3.0, 5.0),
+       n_q=st.sampled_from([1, 3, 8, 9, 256]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=3, n=150, repeats=True, log_scale=5.0, n_q=9, seed=5)
+def test_gp_predict_is_bit_identical_to_reference(dim, n, repeats,
+                                                  log_scale, n_q, seed):
+    # dims 8 and 9 take the kernel's broadcast branch; repeated points
+    # with equal values make gp_fit escalate its jitter from y ~ 1e4 on
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    if repeats:
+        x[n // 2:] = x[:n - n // 2]
+    y = 10.0 ** log_scale * (np.sin(5.0 * x).sum(axis=1) + x[:, 0] ** 2)
+    model = gp_fit(x, y)
+    xq = rng.uniform(0.0, 1.0, size=(n_q, dim))
+    for a, b in ((x, x), (xq, x)):
+        np.testing.assert_array_equal(
+            worker._kernel(a, b, model.sigma_f, model.lengthscale),
+            _reference_kernel(a, b, model.sigma_f, model.lengthscale))
+    mu, sigma = gp_predict(model, xq)
+    mu_ref, sigma_ref = _reference_predict(model, xq)
+    np.testing.assert_array_equal(mu, mu_ref)
+    np.testing.assert_array_equal(sigma, sigma_ref)
+
+
+def test_gp_predict_escalated_example_takes_the_jitter_path():
+    # the @example above must reach the jitter escalation it stands for
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(150, 3))
+    x[75:] = x[:75]
+    model = gp_fit(x, 1e5 * (np.sin(5.0 * x).sum(axis=1) + x[:, 0] ** 2))
+    assert model.jitter > worker.JITTER_MIN
+
+
+def test_gp_predict_raises_on_singular_factor():
+    # dtrtrs reports a zero on the factor's diagonal through info only
+    x = np.array([[0.2, 0.4], [0.7, 0.1]])
+    model = GpModel(x, np.array([1.0, 2.0]), 1.0, worker.LENGTHSCALE,
+                    worker.JITTER_MIN, np.array([[1.0, 0.0], [0.3, 0.0]]),
+                    np.zeros(2), 1.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        gp_predict(model, np.array([[0.5, 0.5]]))
+
+
 # -- acquisition ---------------------------------------------------------
 
 def _propose_next_reference(model, dim, rng):
@@ -244,6 +309,24 @@ def test_maximize_keeps_points_in_bounds():
                             WorkerBudget(6, 6), seed=5)
     for x, _ in hist:
         assert np.all((x >= 0.0) & (x <= 1.0))
+
+
+def test_maximize_golden_bits():
+    # x and y as the acquisition returned them before its kernel and
+    # triangular solve were rewritten for speed: the descent's points are
+    # Sobol draws plus sums of steps, so a drift in the GP's last bits
+    # that flips one comparison of scores moves them and fails here
+    def f(x):
+        return float(np.sin(3.0 * x[0]) * np.cos(2.0 * x[1])
+                     - (x[2] - 0.35) ** 2)
+
+    x, y, hist = maximize(f, 3, WorkerBudget(6, 6), seed=11)
+    assert [float(v).hex() for v in x] == [
+        "0x1.0307ae0b33332p-1", "0x1.6666666666667p-5",
+        "0x1.4fdd2de000000p-2"]
+    assert float(y).hex() == "0x1.fd13706525d02p-1"
+    # the best point is one the acquisition proposed, not a Sobol start
+    assert [k for k, (_, yk) in enumerate(hist) if yk == y] == [8]
 
 
 # -- end-to-end parameter optimization ----------------------------------
