@@ -43,7 +43,6 @@ class PpoConfig:
     epochs: int = 4
     minibatch: int = 64
     update_every: int = 16       # episodes per policy update
-    t_max: int = 16
     elite_capacity: int = 16
     stage_fraction: float = 0.5  # episode fraction where the stage flips
 
@@ -397,7 +396,9 @@ def train_manager(env, cfg: PpoConfig, total_episodes: int, seed: int,
     """PPO with performance backpropagation, elite memory, staged weights.
 
     env is duck-typed: reset() -> (obs, mask), step(a) -> (obs, mask, r,
-    done, info), plus obs_dim / n_actions attributes.  With a
+    done, info), plus obs_dim / n_actions attributes.  Each episode is
+    collected until step returns done, so the env must end every episode
+    (CycleEnv does within t_max + 1 steps).  With a
     checkpoint_path the training state is saved once: at the end, or
     before a diverging step if DivergenceError is raised.
     """
@@ -423,15 +424,13 @@ def train_manager(env, cfg: PpoConfig, total_episodes: int, seed: int,
 
         obs, mask = env.reset()
         traj: list[Transition] = []
-        info: dict = {"valid": False}
-        for _t in range(cfg.t_max + 1):
+        done = False
+        while not done:
             a, lp, v = model.act(obs, mask, act_rng)
             nobs, nmask, r, done, info = env.step(a)
             traj.append(Transition(obs.copy(), a, r, lp, v,
                                    mask.copy(), done))
             obs, mask = nobs, nmask
-            if done:
-                break
 
         perf = float(info.get("performance", 0.0))
         valid = bool(info.get("valid", False))

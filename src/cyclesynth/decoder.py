@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,13 @@ class Efficiencies:
     turbine: float = ETA_TURBINE
     nozzle: float = ETA_NOZZLE
     diffuser: float = ETA_DIFFUSER
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0.0 < value <= 1.0:
+                raise ValueError(
+                    f"efficiency {name}={value!r} must be a number in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -268,6 +276,7 @@ class CycleSystem:
         raise DecodeError("no single-outlet node to anchor the mass flow")
 
     def parameter_space(self) -> list[ParamSpec]:
+        """Continuous decision variables of the structure, with bounds."""
         specs = [ParamSpec(name, self.bc.p_lo, self.bc.p_hi)
                  for kind, name in self.pins if kind == "param"]
         for v in self.active:
@@ -456,15 +465,6 @@ class CycleSystem:
         m0 = np.ones(E)
         return np.concatenate([p0 / P_SCALE, h0 / H_SCALE, m0 / M_SCALE])
 
-    def required_parameters(self) -> list[str]:
-        return [s.name for s in self.parameter_space()]
-
-
-def parameter_space(graph: grammar.CycleGraph, bc: BoundaryConditions,
-                    fluid=None) -> list[ParamSpec]:
-    """Continuous decision variables of a structure, with bounds."""
-    return CycleSystem(graph, bc, fluid).parameter_space()
-
 
 # -- decode and post-solve checks ---------------------------------------
 
@@ -586,7 +586,8 @@ def decode(graph: grammar.CycleGraph, params: dict[str, float],
            eta: Efficiencies | None = None) -> DecodeResult:
     """Solve every state point of a structure at the given parameters."""
     sys_ = CycleSystem(graph, bc, fluid, eta)
-    missing = [n for n in sys_.required_parameters() if n not in params]
+    missing = [s.name for s in sys_.parameter_space()
+               if s.name not in params]
     if missing:
         raise DecodeError("missing parameters: " + ", ".join(missing))
     return evaluate(sys_, params, with_ports=True)

@@ -133,10 +133,6 @@ class AnalyticFluid(ClampedEvalMixin):
     continuous and strictly increasing in h at fixed pressure.
     """
 
-    p_min, p_max = P_MIN, P_MAX
-    t_min, t_max = T_MIN, T_MAX
-    h_ref = H_REF
-
     def __init__(self) -> None:
         self.p_dome_min = self.t_to_psat(T_MIN)
 

@@ -75,7 +75,6 @@ class CaseSpec:
         for k in ("entropy_weights", "elite_weights"):
             if k in kw:
                 kw[k] = tuple(kw[k])
-        kw.setdefault("t_max", self.t_max)
         return agent.PpoConfig(**kw)
 
     def validate(self) -> None:
@@ -105,35 +104,40 @@ class CaseSpec:
         bad = set(self.ppo) - _PPO_KEYS
         if bad:
             raise ConfigError(f"unknown ppo keys: {sorted(bad)}")
-        # the Manager must collect each episode until the environment ends
-        # it, or the last transition lacks its done flag and the returns
-        # run on into the next episode
-        if "t_max" in self.ppo and self.ppo["t_max"] != self.t_max:
-            raise ConfigError(
-                f"ppo.t_max={self.ppo['t_max']} differs from "
-                f"t_max={self.t_max}; set the top-level t_max only")
         for budget, name in ((self.worker_budget, "worker_budget"),
                              (self.refine_budget, "refine_budget")):
             if len(budget) != 2 or any(int(b) < 0 for b in budget):
                 raise ConfigError(f"{name} must be two non-negative counts")
 
 
-_TOP_KEYS = {f.name for f in fields(CaseSpec)}
+_FIELDS = {f.name: f for f in fields(CaseSpec)}
+_SCALARS = {"float": float, "int": int}
 
 
-def _budget(doc, key, default) -> tuple[int, int]:
-    sub = doc.get(key)
-    if sub is None:
-        return default
-    bad = set(sub) - _BUDGET_KEYS
-    if bad:
-        raise ConfigError(f"{key}: unknown keys {sorted(bad)}")
-    return (int(sub.get("n_init", default[0])),
-            int(sub.get("n_iter", default[1])))
+def _coerce(key: str, value):
+    """A document value as the CaseSpec field `key` holds it."""
+    kind = _FIELDS[key].type
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if key == "components":
+        return {k: int(v) for k, v in value.items()}
+    if key in ("worker_budget", "refine_budget"):
+        n_init, n_iter = _FIELDS[key].default
+        if value is None:
+            return n_init, n_iter
+        bad = set(value) - _BUDGET_KEYS
+        if bad:
+            raise ConfigError(f"{key}: unknown keys {sorted(bad)}")
+        return (int(value.get("n_init", n_init)),
+                int(value.get("n_iter", n_iter)))
+    return value
 
 
 def load_config(path) -> CaseSpec:
-    """Parse, default and validate a YAML case file; unknown keys fail."""
+    """Parse and validate a YAML case file.
+
+    Keys the file leaves out take the CaseSpec defaults; unknown keys fail.
+    """
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -141,65 +145,24 @@ def load_config(path) -> CaseSpec:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     for key in ("mode", "t_source", "t_sink", "components"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        spec = CaseSpec(
-            mode=doc["mode"],
-            t_source=float(doc["t_source"]),
-            t_sink=float(doc["t_sink"]),
-            components={k: int(v) for k, v in doc["components"].items()},
-            dt_min=float(doc.get("dt_min", decoder.DT_APPROACH)),
-            p_min=float(doc.get("p_min", P_MIN)),
-            p_max=float(doc.get("p_max", P_MAX)),
-            fluid=doc.get("fluid", "analytic"),
-            efficiencies=doc.get("efficiencies", {}),
-            worker_budget=_budget(doc, "worker_budget", (20, 40)),
-            refine_budget=_budget(doc, "refine_budget", (40, 80)),
-            episodes=int(doc.get("episodes", 2000)),
-            baseline_episodes=int(doc.get("baseline_episodes", 2000)),
-            t_max=int(doc.get("t_max", 16)),
-            seed=int(doc.get("seed", 0)),
-            ppo=doc.get("ppo", {}),
-        )
+        spec = CaseSpec(**{k: _coerce(k, v) for k, v in doc.items()})
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         spec.validate()
         spec.boundary_conditions()
+        spec.eta()
         spec.ppo_config()
     except (ConfigError, ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return spec
-
-
-def save_config(spec: CaseSpec, path) -> None:
-    doc = {
-        "mode": spec.mode,
-        "t_source": spec.t_source,
-        "t_sink": spec.t_sink,
-        "dt_min": spec.dt_min,
-        "p_min": spec.p_min,
-        "p_max": spec.p_max,
-        "components": dict(spec.components),
-        "fluid": spec.fluid,
-        "efficiencies": dict(spec.efficiencies),
-        "worker_budget": {"n_init": spec.worker_budget[0],
-                          "n_iter": spec.worker_budget[1]},
-        "refine_budget": {"n_init": spec.refine_budget[0],
-                          "n_iter": spec.refine_budget[1]},
-        "episodes": spec.episodes,
-        "baseline_episodes": spec.baseline_episodes,
-        "t_max": spec.t_max,
-        "seed": spec.seed,
-        "ppo": dict(spec.ppo),
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
 
 
 # -- graph construction from text --------------------------------------
@@ -295,11 +258,9 @@ def run_experiment(spec: CaseSpec, out_dir) -> ExperimentReport:
         log_path=os.path.join(out_dir, "train_log.csv"),
         checkpoint_path=os.path.join(out_dir, "checkpoint.json"))
 
-    bl_env = agent.CycleEnv(spec.components, bc, fluid, budget, eta, cache,
-                            spec.seed, spec.t_max)
-    unmasked = agent.random_search(bl_env, spec.baseline_episodes,
+    unmasked = agent.random_search(env, spec.baseline_episodes,
                                    spec.seed, masked=False)
-    masked = agent.random_search(bl_env, spec.baseline_episodes,
+    masked = agent.random_search(env, spec.baseline_episodes,
                                  spec.seed, masked=True)
 
     cycles: list[DiscoveredCycle] = []
@@ -373,8 +334,8 @@ class DiffReport:
         return not self.missing and not self.extra
 
 
-def oracle_keys(spec: CaseSpec, cache: worker.WorkerCache | None = None,
-                max_edges: int | None = None) -> set[str]:
+def oracle_keys(spec: CaseSpec,
+                cache: worker.WorkerCache | None = None) -> set[str]:
     """Exhaustive physically-feasible canonical keys for a roster."""
     bc = spec.boundary_conditions()
     fluid = spec.make_fluid()
@@ -386,8 +347,7 @@ def oracle_keys(spec: CaseSpec, cache: worker.WorkerCache | None = None,
         return worker.optimize_parameters(g, bc, fluid, budget, spec.seed,
                                           eta, cache).feasible
 
-    limit = max_edges if max_edges is not None else spec.t_max
-    keys = grammar.enumerate_valid(spec.components, limit,
+    keys = grammar.enumerate_valid(spec.components, spec.t_max,
                                    physical_filter=feasible)
     return {k.hex() for k in keys}
 

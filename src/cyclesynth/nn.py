@@ -46,16 +46,6 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.in_lo.copy(), self.in_hi.copy(),
-            self.out_lo.copy(), self.out_hi.copy(),
-            self.schema,
-        )
-
     def parameters(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
@@ -162,19 +152,6 @@ def mlp_backward_from_output_grad(model: MlpModel, inputs: np.ndarray,
     delta = d_out * (model.out_hi - model.out_lo)
     grads_w, grads_b, d_norm = _backprop(model, acts, delta)
     return grads_w, grads_b, d_norm / (model.in_hi - model.in_lo)
-
-
-def input_jacobian(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """d(raw output)/d(raw input) at a single point, shape (d_out, d_in)."""
-    acts = _forward_cached(model, np.asarray(x, dtype=float))
-    d_out = model.layer_dims[-1]
-    jac = np.empty((d_out, model.layer_dims[0]))
-    for k in range(d_out):
-        delta = np.zeros((1, d_out))
-        delta[0, k] = model.out_hi[k] - model.out_lo[k]
-        _, _, d_in = _backprop(model, acts, delta)
-        jac[k] = d_in[0] / (model.in_hi - model.in_lo)
-    return jac
 
 
 @dataclass

@@ -125,30 +125,6 @@ def generate_dataset(fluid: AnalyticFluid, schema: str, n: int,
     return PropertyDataset(schema, t[:, None], psat[:, None])
 
 
-def save_dataset_csv(ds: PropertyDataset, path) -> None:
-    in_cols, out_cols = SCHEMAS[ds.schema]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(in_cols) + list(out_cols))
-        for x, y in zip(ds.inputs, ds.targets):
-            w.writerow([repr(float(v)) for v in x]
-                       + [repr(float(v)) for v in y])
-
-
-def load_dataset_csv(path, schema: str) -> PropertyDataset:
-    in_cols, out_cols = SCHEMAS[schema]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(in_cols) + list(out_cols):
-            raise ValueError(
-                f"CSV header {header} does not match schema {schema}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
-    k = len(in_cols)
-    return PropertyDataset(schema, arr[:, :k], arr[:, k:])
-
-
 def relative_errors(pred: np.ndarray, true: np.ndarray) -> np.ndarray:
     """Per-column scaled relative error |pred - true| / denom.
 
@@ -203,8 +179,8 @@ class TrainingDiverged(RuntimeError):
 def _fit_network(x_tr: np.ndarray, y_tr: np.ndarray,
                  x_va: np.ndarray, y_va: np.ndarray,
                  dims: list[int], cfg: TrainConfig,
-                 rng: np.random.Generator, schema: str,
-                 verbose: bool, tag: str = "") -> tuple[nn.MlpModel, float, int]:
+                 rng: np.random.Generator,
+                 schema: str) -> tuple[nn.MlpModel, float, int]:
     """Adam fit of one network; returns (model, best_val_loss, epochs_run)."""
     n_tr = len(x_tr)
     model = nn.init_mlp(dims, rng, schema=schema)
@@ -240,9 +216,6 @@ def _fit_network(x_tr: np.ndarray, y_tr: np.ndarray,
                                   cfg.adam_betas, cfg.adam_eps)
             model.set_parameters(params)
         vl = val_loss()
-        if verbose:
-            label = f"[{tag}] " if tag else ""
-            print(f"{label}epoch {epoch}: val_loss={vl:.3e} lr={lr:.2e}")
         if not np.isfinite(vl):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         if vl < best_val - 1e-12:
@@ -296,8 +269,7 @@ def _merge_single_output_models(parts: list[nn.MlpModel],
 
 def train_surrogate(dataset: PropertyDataset, cfg: TrainConfig,
                     hidden: list[int] | dict[str, list[int]] | None = None,
-                    seed: int = 0,
-                    verbose: bool = False) -> tuple[nn.MlpModel, ErrorReport]:
+                    seed: int = 0) -> tuple[nn.MlpModel, ErrorReport]:
     """Train one surrogate network and report held-out error statistics.
 
     Each output column is trained as its own network and the per-column
@@ -333,7 +305,7 @@ def train_surrogate(dataset: PropertyDataset, cfg: TrainConfig,
         dims = [len(in_cols)] + widths_for(col) + [1]
         part, bv, er = _fit_network(
             x_tr, y_tr[:, j:j + 1], x_va, y_va[:, j:j + 1],
-            dims, cfg, rng, dataset.schema, verbose, col)
+            dims, cfg, rng, dataset.schema)
         parts.append(part)
         vals.append(bv)
         epochs.append(er)
@@ -352,10 +324,6 @@ def train_surrogate(dataset: PropertyDataset, cfg: TrainConfig,
 
 class SurrogateFluid(ClampedEvalMixin):
     """Fluid-property interface backed by the four trained networks."""
-
-    p_min, p_max = fluids.P_MIN, fluids.P_MAX
-    t_min, t_max = fluids.T_MIN, fluids.T_MAX
-    h_ref = fluids.H_REF
 
     def __init__(self, ph2tsq: nn.MlpModel, ps2h: nn.MlpModel,
                  p2th_sat: nn.MlpModel, t2p_sat: nn.MlpModel) -> None:

@@ -329,7 +329,7 @@ def test_criterion_5_conservation_suite():
     for g in graphs:
         tags = {t for t, _i in g.nodes}
         bc = bc_hp if ("GC" in tags or "EVAP" in tags) else HE_BC
-        specs = decoder.parameter_space(g, bc, fluid)
+        specs = decoder.CycleSystem(g, bc, fluid).parameter_space()
         params = {s.name: float(s.lo + (s.hi - s.lo) * rng.random())
                   for s in specs}
         res = decoder.decode(g, params, bc, fluid)
@@ -480,7 +480,7 @@ def test_criterion_8_agent_vs_random():
     fluid = AnalyticFluid()
     budget = worker.WorkerBudget(6, 6)
     eta = decoder.Efficiencies()
-    cfg = agent.PpoConfig(t_max=6)
+    cfg = agent.PpoConfig()
     results = []
     for seed in (0, 1, 2):
         cache = worker.WorkerCache()
@@ -548,8 +548,7 @@ def test_criterion_10_discovery_completeness():
         env = agent.CycleEnv(spec.components, bc, fluid,
                              worker.WorkerBudget(*spec.worker_budget),
                              spec.eta(), cache, spec.seed, spec.t_max)
-        res = agent.train_manager(env, agent.PpoConfig(t_max=spec.t_max),
-                                  4000, seed)
+        res = agent.train_manager(env, agent.PpoConfig(), 4000, seed)
         per_seed.append(len(res.discovered))
         for key, perf in res.discovered.items():
             union[key] = max(union.get(key, -np.inf), perf)

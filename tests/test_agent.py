@@ -253,6 +253,40 @@ class BanditEnv:
         return np.zeros(4), np.ones(4, dtype=bool), r, True, {"valid": False}
 
 
+class LongEnv:
+    """Twenty-step environment: an episode is done on its twentieth step."""
+
+    obs_dim = 4
+    n_actions = 4
+    horizon = 20
+
+    def reset(self):
+        self.t = 0
+        return np.zeros(4), np.ones(4, dtype=bool)
+
+    def step(self, action):
+        self.t += 1
+        return (np.zeros(4), np.ones(4, dtype=bool), 0.0,
+                self.t == self.horizon, {"valid": False})
+
+
+def test_train_manager_runs_each_episode_to_done(monkeypatch):
+    # collection follows the env's done flag, however long the episode
+    recorded = []
+    real_transition = agent.Transition
+
+    def record(*args):
+        recorded.append(real_transition(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(agent, "Transition", record)
+    episodes = 16
+    train_manager(LongEnv(), PpoConfig(), total_episodes=episodes, seed=0)
+    assert len(recorded) == episodes * LongEnv.horizon
+    assert [tr.done for tr in recorded] \
+        == ([False] * (LongEnv.horizon - 1) + [True]) * episodes
+
+
 def _greedy_prob(model, action=2):
     logits, _v, _f = model.forward(np.zeros((1, 4)))
     _lp, probs = masked_log_softmax(logits, np.ones((1, 4), dtype=bool))
@@ -260,14 +294,14 @@ def _greedy_prob(model, action=2):
 
 
 def test_train_manager_solves_bandit():
-    cfg = PpoConfig(t_max=1, update_every=8, epochs=4, minibatch=32)
+    cfg = PpoConfig(update_every=8, epochs=4, minibatch=32)
     result = train_manager(BanditEnv(), cfg, total_episodes=400, seed=0)
     assert _greedy_prob(result.model) > 0.9
     assert len(result.log) == 400
 
 
 def test_train_manager_deterministic():
-    cfg = PpoConfig(t_max=1, update_every=8)
+    cfg = PpoConfig(update_every=8)
     a = train_manager(BanditEnv(), cfg, total_episodes=64, seed=11)
     b = train_manager(BanditEnv(), cfg, total_episodes=64, seed=11)
     assert [r.loss_policy for r in a.log] == [r.loss_policy for r in b.log]
@@ -276,7 +310,7 @@ def test_train_manager_deterministic():
 
 
 def test_training_log_and_stage_schedule(tmp_path):
-    cfg = PpoConfig(t_max=1, update_every=8, stage_fraction=0.5)
+    cfg = PpoConfig(update_every=8, stage_fraction=0.5)
     path = tmp_path / "log.csv"
     result = train_manager(BanditEnv(), cfg, total_episodes=32, seed=0,
                            log_path=path)
@@ -332,7 +366,7 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
         real_save(path_, model, adam, elite, episode, rngs)
 
     monkeypatch.setattr(agent, "save_checkpoint", capture)
-    cfg = PpoConfig(t_max=2, update_every=8, elite_capacity=5)
+    cfg = PpoConfig(update_every=8, elite_capacity=5)
     path = tmp_path / "ckpt.json"
     result = train_manager(EliteEnv(), cfg, total_episodes=32, seed=0,
                            checkpoint_path=path)
@@ -384,7 +418,7 @@ def test_checkpoint_holds_the_final_state(tmp_path, monkeypatch):
     # 36 episodes at update_every=8: the elite entries of episodes 33-36
     # come after the last update and must still reach the file
     saves = _count_saves(monkeypatch)
-    cfg = PpoConfig(t_max=2, update_every=8)
+    cfg = PpoConfig(update_every=8)
     path = tmp_path / "ckpt.json"
     result = train_manager(EliteEnv(), cfg, total_episodes=36, seed=0,
                            checkpoint_path=path)
@@ -415,7 +449,7 @@ class NanEnv:
 
 def test_divergence_writes_checkpoint_then_raises(tmp_path, monkeypatch):
     saves = _count_saves(monkeypatch)
-    cfg = PpoConfig(t_max=1, update_every=8)
+    cfg = PpoConfig(update_every=8)
     path = tmp_path / "ckpt.json"
     with pytest.raises(agent.DivergenceError,
                        match="^non-finite loss at episode 8$"):
@@ -439,7 +473,7 @@ def test_checkpoint_rejects_decimal_layout(tmp_path):
 
 @pytest.mark.parametrize("env_cls", [BanditEnv, EliteEnv])
 def test_checkpointing_does_not_change_training(tmp_path, env_cls):
-    cfg = PpoConfig(t_max=2, update_every=8)
+    cfg = PpoConfig(update_every=8)
     plain = train_manager(env_cls(), cfg, total_episodes=48, seed=3)
     saved = train_manager(env_cls(), cfg, total_episodes=48, seed=3,
                           checkpoint_path=tmp_path / "ckpt.json")
@@ -515,7 +549,7 @@ def test_ppo_config_validation():
 
 def test_adam_integration_reduces_bandit_loss():
     # a few updates must increase the greedy-action probability
-    cfg = PpoConfig(t_max=1, update_every=8)
+    cfg = PpoConfig(update_every=8)
     before = _greedy_prob(ActorCritic(4, 4, np.random.default_rng(0)))
     result = train_manager(BanditEnv(), cfg, total_episodes=200, seed=0)
     after = _greedy_prob(result.model)

@@ -78,11 +78,18 @@ def test_backward_matches_finite_differences():
 def test_backward_from_output_grad_chains_to_inputs():
     rng = np.random.default_rng(7)
     model = nn.init_mlp([4, 6, 3], rng)
+    model.in_lo[:] = [-1.0, 0.0, 2.0, -3.0]
+    model.in_hi[:] = [1.0, 5.0, 2.5, 7.0]
+    model.out_lo[:] = [-2.0, 0.1, 10.0]
+    model.out_hi[:] = [1.0, 0.3, 17.0]
     x = rng.normal(size=4)
     d_out = rng.normal(size=(1, 3))
     _gw, _gb, d_in = nn.mlp_backward_from_output_grad(model, x, d_out)
-    jac = nn.input_jacobian(model, x)
-    assert np.allclose(d_in[0], d_out[0] @ jac, atol=1e-10)
+    # a reference independent of the backward pass: central differences
+    # of d_out . f(x), which is exact on the ReLU net's linear pieces
+    fd = _finite_diff(lambda: float(d_out[0] @ nn.mlp_forward(model, x)),
+                      [x])[0]
+    assert np.allclose(d_in[0], fd, atol=1e-7)
 
 
 def test_normalization_round_trip():

@@ -43,15 +43,6 @@ def test_dataset_validation():
         PropertyDataset("PS2H", np.zeros((4, 1)), np.zeros((4, 1)))
 
 
-def test_dataset_csv_round_trip(tmp_path, fluid):
-    ds = generate_dataset(fluid, "T2P_SAT", 64, seed=2)
-    path = tmp_path / "ds.csv"
-    surrogate.save_dataset_csv(ds, path)
-    back = surrogate.load_dataset_csv(path, "T2P_SAT")
-    assert np.allclose(back.inputs, ds.inputs)
-    assert np.allclose(back.targets, ds.targets)
-
-
 def test_relative_errors_floor_guards_zero_targets():
     true = np.array([[0.0], [10.0]])
     pred = np.array([[0.5], [10.0]])

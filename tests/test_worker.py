@@ -339,7 +339,8 @@ def test_optimize_parameters_brayton():
     assert not res.cache_hit
     assert res.n_evals == 20
     assert set(res.best_params) == {"p_suc_CP#1", "p_dis_CP#1"}
-    space = {s.name: s for s in decoder.parameter_space(_brayton(), HE_BC)}
+    space = {s.name: s for s in
+             decoder.CycleSystem(_brayton(), HE_BC).parameter_space()}
     for name, val in res.best_params.items():
         assert space[name].lo <= val <= space[name].hi
 
