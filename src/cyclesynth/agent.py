@@ -596,8 +596,11 @@ def _net_doc(net: nn.MlpModel) -> dict:
 
 
 def _net_load(doc: dict, net: nn.MlpModel) -> None:
-    net.weights = [_decode_array(w) for w in doc["weights"]]
-    net.biases = [_decode_array(b) for b in doc["biases"]]
+    """Fill net from doc after checking it against net's own layer dims."""
+    weights = [_decode_array(w) for w in doc["weights"]]
+    biases = [_decode_array(b) for b in doc["biases"]]
+    nn.check_layers(net.layer_dims, weights, biases)
+    net.weights, net.biases = weights, biases
 
 
 def save_checkpoint(path, model: ActorCritic, adam: nn.AdamState,
@@ -645,9 +648,12 @@ def load_checkpoint(path):
             "checkpoints that store arrays as decimal lists cannot be read")
     model = ActorCritic(doc["obs_dim"], doc["n_actions"],
                         np.random.default_rng(0))
-    _net_load(doc["nets"]["torso"], model.torso)
-    _net_load(doc["nets"]["policy"], model.policy_head)
-    _net_load(doc["nets"]["value"], model.value_head)
+    for name, net in zip(("torso", "policy", "value"), model._nets()):
+        try:
+            _net_load(doc["nets"][name], net)
+        except nn.ModelFormatError as exc:
+            raise nn.ModelFormatError(
+                f"{os.fspath(path)}: {name} network: {exc}") from exc
     adam = nn.AdamState([_decode_array(a) for a in doc["adam"]["m"]],
                         [_decode_array(a) for a in doc["adam"]["v"]],
                         doc["adam"]["t"])

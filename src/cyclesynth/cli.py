@@ -4,8 +4,9 @@ Subcommands cover the full pipeline: surrogate training, exhaustive
 enumeration, single-structure decode and parameter optimization, agent
 training with baselines, oracle verification, and DOT export.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 non-empty verification diff.
+Exit codes: 0 success, 2 configuration error (a malformed or misplaced
+surrogate model file included), 3 numeric failure, 4 non-empty
+verification diff.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def main(argv=None) -> int:
     worker.pin_solver_threads()
     try:
         return handlers[args.command](args)
-    except (harness.ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (harness.ConfigError, nn.ModelFormatError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (decoder.DecodeError, agent.DivergenceError,

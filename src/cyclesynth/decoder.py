@@ -1,13 +1,13 @@
 """Physics decoder: simultaneous state-point solving over a cycle graph.
 
-Every activated edge carries one stream with one enthalpy h and one
-mass flow m.  A pressure segment is the set of ports (edge endpoints)
-connected through edges and isobaric components; pressure-changing
-components break segments, and each segment has one pressure p.  The
-unknowns are therefore one p per segment and one (h, m) per edge.
+Every activated edge carries one stream with one state: a pressure p,
+an enthalpy h and a mass flow m.  A pressure segment is a set of edges
+joined through isobaric components; pressure-changing components break
+segments, and each segment has one pressure.  The unknowns are
+therefore one p per segment and one (h, m) per edge.
 
-The equations are one enthalpy and one mass relation per component
-outlet (every edge starts at exactly one outlet) plus one level pin per
+The equations are one enthalpy and one mass relation per outgoing edge
+(every edge leaves exactly one component) plus one level pin per
 segment: a named pressure parameter or the ejector's diffuser relation.
 The system is thus square for every grammatically valid structure, and
 a damped hybrid Powell solver resolves it.  Post-solve checks cover
@@ -191,23 +191,20 @@ class CycleSystem:
         self.edges = sorted(graph.edges())
         self.active = graph.active_nodes()
 
-        # ports of edge e: 2e is the tail's outlet, 2e + 1 the head's inlet
-        self.ports: list[tuple[tuple[int, int], str]] = []
-        self.in_ports: dict[int, list[int]] = {v: [] for v in self.active}
-        self.out_ports: dict[int, list[int]] = {v: [] for v in self.active}
+        # the edges entering and leaving each node, in edge order
+        self.in_edges: dict[int, list[int]] = {v: [] for v in self.active}
+        self.out_edges: dict[int, list[int]] = {v: [] for v in self.active}
         for e, (i, j) in enumerate(self.edges):
-            self.ports += [((i, j), "out"), ((i, j), "in")]
-            self.out_ports[i].append(2 * e)
-            self.in_ports[j].append(2 * e + 1)
-        self.n_ports = len(self.ports)
+            self.out_edges[i].append(e)
+            self.in_edges[j].append(e)
         for v in self.active:
-            if not self.in_ports[v] or not self.out_ports[v]:
+            if not self.in_edges[v] or not self.out_edges[v]:
                 raise DecodeError(f"{graph.label(v)} lacks an inlet or outlet")
 
         self.segments = self._pressure_segments()
-        self.port_seg = np.empty(self.n_ports, dtype=int)
+        self.edge_seg = np.empty(len(self.edges), dtype=int)
         for s, seg in enumerate(self.segments):
-            self.port_seg[seg] = s
+            self.edge_seg[seg] = s
         self.n_unknowns = len(self.segments) + 2 * len(self.edges)
         self.pins = self._classify_pins()
         self._anchor_node = self._pick_mass_anchor()
@@ -215,7 +212,8 @@ class CycleSystem:
     # -- assembly metadata ----------------------------------------------
 
     def _pressure_segments(self) -> list[list[int]]:
-        parent = list(range(self.n_ports))
+        """Sorted edge lists that share one pressure, by first edge."""
+        parent = list(range(len(self.edges)))
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -226,21 +224,19 @@ class CycleSystem:
         def union(a: int, b: int) -> None:
             parent[find(a)] = find(b)
 
-        for k in range(0, self.n_ports, 2):
-            union(k, k + 1)
         for v in self.active:
             tag = self.graph.nodes[v][0]
             if tag in _ISOBARIC_TAGS:
-                group = self.in_ports[v] + self.out_ports[v]
+                group = self.in_edges[v] + self.out_edges[v]
             elif tag == "Em":
-                group = self.in_ports[v]     # diffuser breaks in->out
+                group = self.in_edges[v]     # diffuser breaks in->out
             else:
-                group = self.out_ports[v]    # split outlets share pressure
+                group = self.out_edges[v]    # split outlets share pressure
             for a, b in zip(group, group[1:]):
                 union(a, b)
 
         classes: dict[int, list[int]] = {}
-        for k in range(self.n_ports):
+        for k in range(len(self.edges)):
             classes.setdefault(find(k), []).append(k)
         return sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
 
@@ -251,13 +247,13 @@ class CycleSystem:
         for seg in self.segments:
             comp_out = [v for v in self.active
                         if self.graph.nodes[v][0] == "CP"
-                        and set(self.out_ports[v]) & set(seg)]
+                        and set(self.out_edges[v]) & set(seg)]
             comp_in = [v for v in self.active
                        if self.graph.nodes[v][0] == "CP"
-                       and set(self.in_ports[v]) & set(seg)]
+                       and set(self.in_edges[v]) & set(seg)]
             em_out = [v for v in self.active
                       if self.graph.nodes[v][0] == "Em"
-                      and set(self.out_ports[v]) & set(seg)]
+                      and set(self.out_edges[v]) & set(seg)]
             if comp_out:
                 pins.append(("param", f"p_dis_{self.graph.label(comp_out[0])}"))
             elif em_out:
@@ -271,7 +267,7 @@ class CycleSystem:
 
     def _pick_mass_anchor(self) -> int:
         for v in self.active:
-            if len(self.out_ports[v]) == 1:
+            if len(self.out_edges[v]) == 1:
                 return v
         raise DecodeError("no single-outlet node to anchor the mass flow")
 
@@ -281,7 +277,7 @@ class CycleSystem:
                  for kind, name in self.pins if kind == "param"]
         for v in self.active:
             tag = self.graph.nodes[v][0]
-            if tag not in ("S", "Em") and len(self.out_ports[v]) == 2:
+            if tag not in ("S", "Em") and len(self.out_edges[v]) == 2:
                 specs.append(ParamSpec(f"r_{self.graph.label(v)}", 0.05, 0.95))
         for comp, members in self.graph.couplings:
             if comp == "ihx" and members[0] in self.active:
@@ -292,15 +288,11 @@ class CycleSystem:
     # -- residuals -------------------------------------------------------
 
     def unscale(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-port p, h and m of xs = [p per segment | h per edge | m per edge].
-
-        Port k reads the pressure of its segment and the h and m of its
-        edge k // 2.
-        """
+        """Per-edge p, h and m of xs = [p per segment | h per edge | m per edge]."""
         S, E = len(self.segments), len(self.edges)
-        return (xs[:S][self.port_seg] * P_SCALE,
-                np.repeat(xs[S:S + E], 2) * H_SCALE,
-                np.repeat(xs[S + E:], 2) * M_SCALE)
+        return (xs[:S][self.edge_seg] * P_SCALE,
+                xs[S:S + E] * H_SCALE,
+                xs[S + E:] * M_SCALE)
 
     def _separator_sat(self, p: float, note) -> tuple[float, float]:
         """(hl, hv) at p clamped into the dome's pressure range."""
@@ -337,11 +329,11 @@ class CycleSystem:
                 note[0] = True
             return hh
 
-        # enthalpy relations, one per outlet port
+        # enthalpy relations, one per outgoing edge
         for v in self.active:
             tag = self.graph.nodes[v][0]
-            outs = self.out_ports[v]
-            ins = self.in_ports[v]
+            outs = self.out_edges[v]
+            ins = self.in_edges[v]
             k0 = outs[0]
             if tag == "CP":
                 k_in = ins[0]
@@ -364,15 +356,15 @@ class CycleSystem:
             elif tag == "R":
                 grp = self.graph.group_of(v)
                 r_node = grp[1][1]
-                t_hot_in = state(self.in_ports[r_node][0]).T
+                t_hot_in = state(self.in_edges[r_node][0]).T
                 eps = params[f"eps_{self.graph.label(v)}"]
                 h_cap = h_at_t(p[k0], t_hot_in)
                 h_t = h[ins[0]] + eps * (h_cap - h[ins[0]])
             elif tag == "r":
                 grp = self.graph.group_of(v)
                 big = grp[1][0]
-                b_in = self.in_ports[big][0]
-                b_out = self.out_ports[big][0]
+                b_in = self.in_edges[big][0]
+                b_out = self.out_edges[big][0]
                 bal = (m[b_in] * (h[b_out] - h[b_in])
                        - m[ins[0]] * (h[ins[0]] - h[k0]))
                 res.append(bal / H_SCALE)
@@ -380,7 +372,7 @@ class CycleSystem:
             elif tag == "S":
                 hl, hv = self._separator_sat(p[ins[0]], note)
                 for k in outs:
-                    head = self.ports[k][0][1]
+                    head = self.edges[k][1]
                     target = hv if self.graph.nodes[head][0] == "SV" else hl
                     res.append((h[k] - target) / H_SCALE)
                 continue
@@ -391,8 +383,8 @@ class CycleSystem:
             elif tag == "Em":
                 grp = self.graph.group_of(v)
                 ev_node, ec_node = grp[1][0], grp[1][1]
-                k_n = self.in_ports[ev_node][0]
-                k_s = self.in_ports[ec_node][0]
+                k_n = self.in_edges[ev_node][0]
+                k_s = self.in_edges[ec_node][0]
                 res.append((m[k0] * h[k0]
                             - m[k_n] * h[k_n] - m[k_s] * h[k_s]) / H_SCALE)
                 continue
@@ -402,11 +394,11 @@ class CycleSystem:
             for k in outs[1:]:
                 res.append((h[k] - h[k0]) / H_SCALE)
 
-        # mass relations, one per outlet port
+        # mass relations, one per outgoing edge
         for v in self.active:
             tag = self.graph.nodes[v][0]
-            outs = self.out_ports[v]
-            ins = self.in_ports[v]
+            outs = self.out_edges[v]
+            ins = self.in_edges[v]
             tot_in = sum(m[k] for k in ins)
             if v == self._anchor_node:
                 res.append((m[outs[0]] - 1.0) / M_SCALE)
@@ -414,7 +406,7 @@ class CycleSystem:
                 hl, hv = self._separator_sat(p[ins[0]], note)
                 q = min(max((h[ins[0]] - hl) / (hv - hl), 0.0), 1.0)
                 for k in outs:
-                    head = self.ports[k][0][1]
+                    head = self.edges[k][1]
                     frac = q if self.graph.nodes[head][0] == "SV" else 1.0 - q
                     res.append((m[k] - frac * tot_in) / M_SCALE)
             elif len(outs) == 1:
@@ -431,8 +423,8 @@ class CycleSystem:
                 res.append((p[rep] - params[ref]) / P_SCALE)
             else:  # diffuser pressure recovery on the Em outlet segment
                 v = ref
-                k0 = self.out_ports[v][0]
-                ins = self.in_ports[v]
+                k0 = self.out_edges[v][0]
+                ins = self.in_edges[v]
                 m_out = sum(m[k] for k in ins)
                 h_mix = sum(m[k] * h[k] for k in ins) / m_out \
                     if abs(m_out) > 1e-12 else h[k0]
@@ -470,10 +462,10 @@ class CycleSystem:
 
 def _node_dh(sys_: CycleSystem, p, h, m, v) -> tuple[float, float, float]:
     """(m_in, h_in, h_out_first) for a node."""
-    k_in = sys_.in_ports[v]
+    k_in = sys_.in_edges[v]
     m_in = sum(m[k] for k in k_in)
     h_in = sum(m[k] * h[k] for k in k_in) / m_in if m_in > 1e-12 else h[k_in[0]]
-    return m_in, h_in, h[sys_.out_ports[v][0]]
+    return m_in, h_in, h[sys_.out_edges[v][0]]
 
 
 def _physical_checks(sys_: CycleSystem, p, h, m) -> list[str]:
@@ -483,8 +475,8 @@ def _physical_checks(sys_: CycleSystem, p, h, m) -> list[str]:
     for v in sys_.active:
         tag = g.nodes[v][0]
         lbl = g.label(v)
-        p_in = p[sys_.in_ports[v][0]]
-        p_out = p[sys_.out_ports[v][0]]
+        p_in = p[sys_.in_edges[v][0]]
+        p_out = p[sys_.out_edges[v][0]]
         m_in, h_in, h_out = _node_dh(sys_, p, h, m, v)
         if tag == "CP" and p_out <= p_in + PINCH_TOL:
             bad.append(f"{lbl}: pressure does not rise")
@@ -503,10 +495,10 @@ def _physical_checks(sys_: CycleSystem, p, h, m) -> list[str]:
             r_node = grp[1][1]
             t_cold_in, _ = fl.ph_to_tsq_clamped(p_in, h_in)
             t_cold_out, _ = fl.ph_to_tsq_clamped(p_out, h_out)
-            rp_in = p[sys_.in_ports[r_node][0]]
-            rp_out = p[sys_.out_ports[r_node][0]]
-            rh_in = h[sys_.in_ports[r_node][0]]
-            rh_out = h[sys_.out_ports[r_node][0]]
+            rp_in = p[sys_.in_edges[r_node][0]]
+            rp_out = p[sys_.out_edges[r_node][0]]
+            rh_in = h[sys_.in_edges[r_node][0]]
+            rh_out = h[sys_.out_edges[r_node][0]]
             t_hot_in, _ = fl.ph_to_tsq_clamped(rp_in, rh_in)
             t_hot_out, _ = fl.ph_to_tsq_clamped(rp_out, rh_out)
             if t_hot_in.T < t_cold_out.T - PINCH_TOL \
@@ -566,11 +558,12 @@ def evaluate(sys_: CycleSystem, params: dict[str, float],
             violations.append("nonpositive performance")
         if with_ports:
             g = sys_.graph
-            for k, ((i, j), side) in enumerate(sys_.ports):
+            for k, (i, j) in enumerate(sys_.edges):
                 st, _ = sys_.fluid.ph_to_tsq_clamped(p[k], h[k])
-                rows.append(PortRow(g.label(i if side == "out" else j),
-                                    f"{g.label(i)}->{g.label(j)}", side,
-                                    p[k], h[k], st.T, st.s, st.Q, m[k]))
+                edge = f"{g.label(i)}->{g.label(j)}"
+                rows += [PortRow(g.label(v), edge, side, p[k], h[k],
+                                 st.T, st.s, st.Q, m[k])
+                         for v, side in ((i, "out"), (j, "in"))]
     elif sol.status == STATUS_NOT_CONVERGED:
         violations.append("solver did not converge")
     else:

@@ -134,9 +134,6 @@ class CycleGraph:
                 return grp
         return None
 
-    def group_active(self, grp: tuple[str, tuple[int, ...]]) -> bool:
-        return any(self.adj[m].any() or self.adj[:, m].any() for m in grp[1])
-
     def active_nodes(self) -> list[int]:
         """Nodes with an incident edge, plus co-activated group members."""
         touched = set(np.flatnonzero(self.adj.any(axis=0)
@@ -282,15 +279,14 @@ def apply_action(g: CycleGraph, action) -> CycleGraph:
         raise IllegalActionError(f"edge ({g.label(i)}, {g.label(j)}): {why}")
     adj = g.adj.copy()
     adj[i, j] = 1
-    out = CycleGraph(g.nodes, adj, g.couplings)
-    for grp in g.couplings:
-        comp, members = grp
-        if comp in _INTERNAL_EDGES and out.group_active(grp):
-            adj2 = out.adj.copy()
+    # internal edges join members of one group, so wiring a group never
+    # activates another one
+    for comp, members in g.couplings:
+        if comp in _INTERNAL_EDGES and any(adj[m].any() or adj[:, m].any()
+                                           for m in members):
             for a, b in _INTERNAL_EDGES[comp]:
-                adj2[members[a], members[b]] = 1
-            out = CycleGraph(g.nodes, adj2, g.couplings)
-    return out
+                adj[members[a], members[b]] = 1
+    return CycleGraph(g.nodes, adj, g.couplings)
 
 
 def legal_actions(g: CycleGraph) -> np.ndarray:

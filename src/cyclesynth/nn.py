@@ -224,9 +224,20 @@ def load_model(path) -> MlpModel:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed mlpv1 document: {exc}") from exc
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    check_layers(dims, model.weights, model.biases)
+    return model
+
+
+def check_layers(dims: list[int], weights: list[np.ndarray],
+                 biases: list[np.ndarray]) -> None:
+    """Raise ModelFormatError unless the layers have the shapes that dims
+    give them and every parameter is finite."""
+    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+        raise ModelFormatError(
+            f"{len(weights)} weight and {len(biases)} bias arrays for "
+            f"{len(dims) - 1} layers")
+    for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
             raise ModelFormatError(f"layer {i} shape mismatch")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ModelFormatError(f"layer {i} has non-finite parameters")
-    return model

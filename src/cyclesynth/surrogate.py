@@ -334,8 +334,23 @@ class SurrogateFluid(ClampedEvalMixin):
 
     @classmethod
     def from_paths(cls, paths: dict[str, str]) -> "SurrogateFluid":
-        return cls(*(nn.load_model(paths[k])
-                     for k in ("PH2TSQ", "PS2H", "P2TH_SAT", "T2P_SAT")))
+        """Load the four networks, each checked against its schema's
+        name and input/output widths, so that no file fills a slot that
+        is not its own."""
+        models = []
+        for schema in ("PH2TSQ", "PS2H", "P2TH_SAT", "T2P_SAT"):
+            if schema not in paths:
+                raise nn.ModelFormatError(f"no {schema} model path given")
+            model = nn.load_model(paths[schema])
+            in_cols, out_cols = SCHEMAS[schema]
+            got = (model.schema, model.layer_dims[0], model.layer_dims[-1])
+            if got != (schema, len(in_cols), len(out_cols)):
+                raise nn.ModelFormatError(
+                    f"{paths[schema]}: schema {got[0]!r} with {got[1]} "
+                    f"inputs and {got[2]} outputs, where {schema} needs "
+                    f"{len(in_cols)} and {len(out_cols)}")
+            models.append(model)
+        return cls(*models)
 
     def has_dome(self, p: float) -> bool:
         return self.p_dome_min <= p < fluids.P_CRIT

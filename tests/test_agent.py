@@ -1,5 +1,6 @@
 """PPO machinery: masked distributions, reward math, gradients, training."""
 
+import json
 import math
 
 import numpy as np
@@ -468,6 +469,38 @@ def test_checkpoint_rejects_decimal_layout(tmp_path):
     path = tmp_path / "old.json"
     path.write_text('{"episode": 16, "obs_dim": 4, "n_actions": 4}')
     with pytest.raises(ValueError, match="ckpt-b64v1"):
+        agent.load_checkpoint(path)
+
+
+def _wrong_weight_shape(net):
+    net["weights"][0] = agent._encode_array(np.zeros((3, 5)))
+
+
+def _nan_bias(net):
+    bias = agent._decode_array(net["biases"][0])
+    bias[0] = np.nan
+    net["biases"][0] = agent._encode_array(bias)
+
+
+def _missing_layer(net):
+    net["weights"].pop()
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_wrong_weight_shape, "layer 0 shape mismatch"),
+    (_nan_bias, "layer 0 has non-finite parameters"),
+    (_missing_layer, "2 weight and 3 bias arrays for 3 layers"),
+])
+def test_checkpoint_rejects_malformed_network(tmp_path, tamper, match):
+    path = tmp_path / "ckpt.json"
+    model = _tiny_model()
+    agent.save_checkpoint(path, model,
+                          nn.AdamState.for_params(model.parameters()),
+                          EliteMemory(4), 8, (np.random.default_rng(1),))
+    doc = json.loads(path.read_text())
+    tamper(doc["nets"]["torso"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(nn.ModelFormatError, match=f"torso network: .*{match}"):
         agent.load_checkpoint(path)
 
 

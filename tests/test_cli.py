@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
-from cyclesynth import cli
+from cyclesynth import cli, nn, surrogate
 
 BRAYTON_EDGES = "CP#1>HT#1;HT#1>TB#1;TB#1>CL#1;CL#1>CP#1"
 
@@ -49,6 +50,41 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "out"),
                    "--edges", BRAYTON_EDGES])
     assert rc == cli.EXIT_CONFIG
+
+
+def _surrogate_files(tmp_path):
+    paths = {}
+    rng = np.random.default_rng(0)
+    for schema, (in_cols, out_cols) in surrogate.SCHEMAS.items():
+        path = tmp_path / f"{schema}.json"
+        nn.save_model(nn.init_mlp([len(in_cols), 4, len(out_cols)], rng,
+                                  schema=schema), path)
+        paths[schema] = str(path)
+    return paths
+
+
+def _truncate(paths):
+    blob = open(paths["PS2H"]).read()
+    with open(paths["PS2H"], "w") as fh:
+        fh.write(blob[: len(blob) // 2])
+    return paths
+
+
+def _swap(paths):
+    return dict(paths, PH2TSQ=paths["PS2H"], PS2H=paths["PH2TSQ"])
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _swap])
+def test_bad_surrogate_file_exits_2(tmp_path, capsys, spoil):
+    paths = spoil(_surrogate_files(tmp_path))
+    cfg = _config(tmp_path, fluid={"surrogate": paths})
+    rc = cli.main(["decode", "--config", cfg,
+                   "--out", str(tmp_path / "out"),
+                   "--edges", BRAYTON_EDGES,
+                   "--params",
+                   json.dumps({"p_suc_CP#1": 140.0, "p_dis_CP#1": 560.0})])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_decode_subcommand(tmp_path, capsys):

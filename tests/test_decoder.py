@@ -81,7 +81,6 @@ def test_hybrid_solve_reports_no_root_without_nan():
 
 def test_brayton_system_is_square(fluid):
     sys_ = CycleSystem(brayton(), HE_BC, fluid)
-    assert sys_.n_ports == 8            # 4 edges, 2 ports each
     assert len(sys_.segments) == 2      # high and low pressure
     n = len(sys_.segments) + 2 * len(sys_.edges)
     assert n == sys_.n_unknowns == 10   # p per segment, (h, m) per edge
@@ -179,10 +178,6 @@ def test_compressor_isentropic_hand_value(fluid):
 
 # -- solved-state invariants --------------------------------------------
 
-def _port_arrays(res):
-    return res
-
-
 def test_solved_pressures_match_pins(fluid):
     params = {"p_suc_CP#1": 140.0, "p_dis_CP#1": 560.0}
     res = decode(brayton(), params, HE_BC, fluid, IDEAL)
@@ -234,9 +229,8 @@ def test_merge_energy_balance_is_mass_weighted(fluid):
     g = sys_.graph
     idx = {g.label(i): i for i in range(len(g))}
     m_node = idx["M#1"]
-    # ports 2e and 2e + 1 belong to edge e
-    e_out = sys_.out_ports[m_node][0] // 2
-    e_in = [k // 2 for k in sys_.in_ports[m_node]]
+    e_out = sys_.out_edges[m_node][0]
+    e_in = sys_.in_edges[m_node]
     params = {"p_suc_CP#1": 140.0, "p_dis_CP#1": 560.0, "r_HT#1": 0.5}
     xs = sys_.initial_guess(params)
     H = len(sys_.segments)              # h per edge, then m per edge
@@ -356,6 +350,108 @@ def test_ejector_diffuser_pin_and_separator(monkeypatch):
     assert 0.0 < q < 1.0
     assert vapour.m == pytest.approx(q * mixed.m, abs=1e-9)
     assert liquid.m == pytest.approx((1.0 - q) * mixed.m, abs=1e-9)
+
+
+# -- bitwise pins -------------------------------------------------------
+
+# Per edge, in state-vector order: (edge, p, h, T, s, Q, m) as float.hex.
+# Recorded from the decoder that stored each edge's state twice, once per
+# endpoint; a change in the assembly, the solver's arithmetic or the fluid
+# shows here as a flipped bit.
+REGEN_PERFORMANCE = "0x1.e30614f0dad2ep-5"
+REGEN_EDGES = [
+    ("CP#1->R#1",
+     "0x1.a400000000000p+8", "0x1.88edaefbfb474p+8", "0x1.88edaefbfb474p+8",
+     "-0x1.45b0516336d00p-10", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("CL#1->CP#1",
+     "0x1.1800000000000p+7", "0x1.3100000000000p+8", "0x1.3100000000000p+8",
+     "-0x1.8145b1f4e80f4p-5", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("HT#1->TB#1",
+     "0x1.a400000000000p+8", "0x1.2980000000000p+9", "0x1.2980000000000p+9",
+     "0x1.a79ebc332098fp-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("R#1->HT#1",
+     "0x1.a400000000000p+8", "0x1.dec2856075ba7p+8", "0x1.dec2856075ba7p+8",
+     "0x1.921506ea3fa72p-3", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("r#1->CL#1",
+     "0x1.1800000000000p+7", "0x1.9e62e49519e40p+8", "0x1.9e62e49519e40p+8",
+     "0x1.09aefa6b00bcap-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("TB#1->r#1",
+     "0x1.1800000000000p+7", "0x1.f437baf994573p+8", "0x1.f437baf994573p+8",
+     "0x1.ca7236cc24c41p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+]
+EJECTOR_PERFORMANCE = "0x1.6a85e9b461164p+1"
+EJECTOR_EDGES = [
+    ("CP#1->GC#1",
+     "0x1.25c0000000000p+12", "0x1.df51e6c99d625p+8", "0x1.df51e6c99d625p+8",
+     "-0x1.08ea81e02cbf5p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("Ev#1->Em#1",
+     "0x1.3880000000000p+11", "0x1.564d9fc4e06bcp+8", "0x1.0558c5e96039dp+8",
+     "-0x1.31228839d4381p-1", "0x1.53b6a0cdc0d3bp-1", "0x1.0000000000000p+0"),
+    ("Ec#1->Em#1",
+     "0x1.3880000000000p+11", "0x1.2026666666666p+8", "0x1.0558c5e96039dp+8",
+     "-0x1.9b39bcf0856fap-1", "0x1.e4b03b4c364a6p-2", "0x1.5e8a2a820758ap-1"),
+    ("Em#1->S#1",
+     "0x1.89f9b505085bap+11", "0x1.49b3a3456871cp+8", "0x1.0d7683ce57b4dp+8",
+     "-0x1.58ad097941004p-1", "0x1.2febcbdb7caafp-1", "0x1.af45154103ac5p+0"),
+    ("EVAP#1->Ec#1",
+     "0x1.5e00000000000p+11", "0x1.2026666666666p+8", "0x1.09413b8a5b014p+8",
+     "-0x1.a18beafb04983p-1", "0x1.d238465c071dcp-2", "0x1.5e8a2a820758ap-1"),
+    ("EV#1->EVAP#1",
+     "0x1.5e00000000000p+11", "0x1.5b509307b6885p+7", "0x1.09413b8a5b014p+8",
+     "-0x1.3f456f092ee39p+0", "0x1.39dfb9742b03bp-5", "0x1.5e8a2a820758ap-1"),
+    ("GC#1->Ev#1",
+     "0x1.25c0000000000p+12", "0x1.6626666666666p+8", "0x1.1cb66646516e8p+8",
+     "-0x1.38e56c18dac38p-1", "0x1.63512ebf1ede0p-1", "0x1.0000000000000p+0"),
+    ("S#1->SV#1",
+     "0x1.89f9b505085bap+11", "0x1.b48981a4789abp+8", "0x1.b48981a4789abp+8",
+     "-0x1.1b5c6ebe9c2d2p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("S#1->SL#1",
+     "0x1.89f9b505085bap+11", "0x1.5b509307b6885p+7", "0x1.0d7683ce57b4dp+8",
+     "-0x1.4096037659ec8p+0", "0x1.f299bf1373bbcp-52", "0x1.5e8a2a820758ap-1"),
+    ("SV#1->CP#1",
+     "0x1.89f9b505085bap+11", "0x1.b48981a4789abp+8", "0x1.b48981a4789abp+8",
+     "-0x1.1b5c6ebe9c2d2p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("SL#1->EV#1",
+     "0x1.89f9b505085bap+11", "0x1.5b509307b6885p+7", "0x1.0d7683ce57b4dp+8",
+     "-0x1.4096037659ec8p+0", "0x1.f299bf1373bbcp-52", "0x1.5e8a2a820758ap-1"),
+]
+
+
+def _assert_bits(res, performance, edges):
+    assert (res.status, res.feasible) == (STATUS_CONVERGED, True)
+    assert res.performance.hex() == performance
+    assert len(res.ports) == 2 * len(edges)
+    for out_row, in_row, (edge, *state) in zip(res.ports[::2],
+                                               res.ports[1::2], edges):
+        tail, head = edge.split("->")
+        assert (out_row.node, out_row.edge, out_row.side) == (tail, edge, "out")
+        assert (in_row.node, in_row.edge, in_row.side) == (head, edge, "in")
+        for row in (out_row, in_row):
+            assert [float.hex(getattr(row, f))
+                    for f in ("p", "h", "T", "s", "Q", "m")] == state
+
+
+def test_decode_golden_bits(monkeypatch, fluid):
+    regen = _build({"compressor": 1, "heater": 1, "turbine": 1, "cooler": 1,
+                    "ihx": 1},
+                   ("CP#1", "R#1"), ("R#1", "HT#1"), ("HT#1", "TB#1"),
+                   ("TB#1", "r#1"), ("r#1", "CL#1"), ("CL#1", "CP#1"))
+    res = decode(regen, {"p_suc_CP#1": 140.0, "p_dis_CP#1": 420.0,
+                         "eps_R#1": 0.8}, HE_BC, fluid)
+    _assert_bits(res, REGEN_PERFORMANCE, REGEN_EDGES)
+
+    # the ejector heat pump, reached as in
+    # test_ejector_diffuser_pin_and_separator
+    monkeypatch.setattr(grammar, "structural_validity",
+                        lambda g: grammar.ValidityReport(()))
+    spec = harness.load_config(
+        os.path.join(os.path.dirname(harness.__file__), "configs",
+                     "hp_case2.yaml"))
+    g = harness.build_graph(spec.components, EJECTOR_HP)
+    res = decode(g, {"p_dis_CP#1": 4700.0, "p_seg0": 2500.0,
+                     "p_seg1": 2800.0},
+                 spec.boundary_conditions(), spec.make_fluid(), spec.eta())
+    _assert_bits(res, EJECTOR_PERFORMANCE, EJECTOR_EDGES)
 
 
 def test_degenerate_loop_converges_but_infeasible(fluid):

@@ -167,6 +167,19 @@ def test_load_rejects_shape_mismatch(tmp_path):
         nn.load_model(path)
 
 
+@pytest.mark.parametrize("n_weights", [1, 3])
+def test_load_rejects_layer_count_mismatch(tmp_path, n_weights):
+    # one weight array too few, or one too many, for two layers
+    model = nn.init_mlp([2, 3, 1], np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    nn.save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["weights"] = (doc["weights"] * 2)[:n_weights]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(nn.ModelFormatError, match="weight and 2 bias"):
+        nn.load_model(path)
+
+
 def test_load_rejects_non_finite(tmp_path):
     model = nn.init_mlp([1, 2, 1], np.random.default_rng(0))
     model.weights[0][0, 0] = np.inf

@@ -156,3 +156,39 @@ def test_surrogate_fluid_interface(fluid, tmp_path):
     assert hl < hv and np.isfinite(t)
     lo, hi = sf.h_bounds(200.0)
     assert lo < hi
+
+
+def _untrained_model_files(tmp_path, **dims):
+    """One small untrained network per schema; dims overrides a schema's
+    layer widths."""
+    paths = {}
+    rng = np.random.default_rng(0)
+    for schema, (in_cols, out_cols) in surrogate.SCHEMAS.items():
+        layer_dims = dims.get(schema, [len(in_cols), 4, len(out_cols)])
+        path = tmp_path / f"{schema}.json"
+        nn.save_model(nn.init_mlp(layer_dims, rng, schema=schema), path)
+        paths[schema] = str(path)
+    return paths
+
+
+def test_from_paths_rejects_swapped_files(tmp_path):
+    paths = _untrained_model_files(tmp_path)
+    SurrogateFluid.from_paths(paths)
+    swapped = dict(paths, PH2TSQ=paths["PS2H"], PS2H=paths["PH2TSQ"])
+    with pytest.raises(nn.ModelFormatError,
+                       match="schema 'PS2H' with 2 inputs and 1 outputs, "
+                             "where PH2TSQ needs 2 and 3"):
+        SurrogateFluid.from_paths(swapped)
+
+
+def test_from_paths_rejects_wrong_widths(tmp_path):
+    paths = _untrained_model_files(tmp_path, T2P_SAT=[1, 4, 3])
+    with pytest.raises(nn.ModelFormatError, match="T2P_SAT needs 1 and 1"):
+        SurrogateFluid.from_paths(paths)
+
+
+def test_from_paths_names_a_missing_schema(tmp_path):
+    paths = _untrained_model_files(tmp_path)
+    del paths["P2TH_SAT"]
+    with pytest.raises(nn.ModelFormatError, match="no P2TH_SAT model path"):
+        SurrogateFluid.from_paths(paths)
