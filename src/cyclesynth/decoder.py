@@ -13,7 +13,8 @@ The system is thus square for every grammatically valid structure, and
 a damped hybrid Powell solver resolves it.  Post-solve checks cover
 heat-transfer direction, pressure direction and net performance.
 `evaluate` is the one solve-and-check sequence: `decode` and the
-Worker's objective both call it.
+Worker's objective both call it, the Worker only for points that
+`pins_reversed` does not already show to be infeasible.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ H_SCALE = 1e2
 M_SCALE = 1.0
 
 RESIDUAL_TOL = 1e-8      # infinity norm of the scaled residual
+# kPa; twice the distance by which a converged solve may miss a pin
+REVERSED_MARGIN = 2 * RESIDUAL_TOL * P_SCALE
 PERF_EPS = 1e-6          # minimum performance to count as feasible
 PINCH_TOL = 1e-9
 
@@ -55,6 +58,7 @@ STATUS_ERROR = "error"
 _ISOBARIC_TAGS = {"HT", "CL", "GC", "EVAP", "R", "r", "SV", "SL", "S", "M"}
 _HEATED_TAGS = {"HT", "EVAP"}
 _COOLED_TAGS = {"CL", "GC"}
+_EXPANDING_TAGS = {"TB", "EV", "Ev"}   # the pressure drops; it rises on CP
 
 
 class DecodeError(ValueError):
@@ -207,6 +211,7 @@ class CycleSystem:
             self.edge_seg[seg] = s
         self.n_unknowns = len(self.segments) + 2 * len(self.edges)
         self.pins = self._classify_pins()
+        self.machine_pins = self._machine_pins()
         self._anchor_node = self._pick_mass_anchor()
 
     # -- assembly metadata ----------------------------------------------
@@ -263,6 +268,21 @@ class CycleSystem:
             else:
                 pins.append(("param", f"p_seg{free_rank}"))
                 free_rank += 1
+        return pins
+
+    def _machine_pins(self) -> list[tuple[str, str, float]]:
+        """(inlet pin, outlet pin, sign) of each pressure-changing machine
+        whose inlet and outlet segments are both pinned by parameters; the
+        sign is +1 where the pressure must rise and -1 where it must drop."""
+        pins = []
+        for v in self.active:
+            tag = self.graph.nodes[v][0]
+            if tag != "CP" and tag not in _EXPANDING_TAGS:
+                continue
+            kind_in, p_in = self.pins[self.edge_seg[self.in_edges[v][0]]]
+            kind_out, p_out = self.pins[self.edge_seg[self.out_edges[v][0]]]
+            if kind_in == kind_out == "param":
+                pins.append((p_in, p_out, 1.0 if tag == "CP" else -1.0))
         return pins
 
     def _pick_mass_anchor(self) -> int:
@@ -480,7 +500,7 @@ def _physical_checks(sys_: CycleSystem, p, h, m) -> list[str]:
         m_in, h_in, h_out = _node_dh(sys_, p, h, m, v)
         if tag == "CP" and p_out <= p_in + PINCH_TOL:
             bad.append(f"{lbl}: pressure does not rise")
-        if tag in ("TB", "EV", "Ev") and p_out >= p_in - PINCH_TOL:
+        if tag in _EXPANDING_TAGS and p_out >= p_in - PINCH_TOL:
             bad.append(f"{lbl}: pressure does not drop")
         if tag in _HEATED_TAGS and h_out < h_in - PINCH_TOL:
             bad.append(f"{lbl}: heat flows backwards")
@@ -530,6 +550,19 @@ def _performance(sys_: CycleSystem, p, h, m) -> tuple[float, float, float, float
         w_net = w_comp - w_turb
         perf = q_out / w_net if w_net > PERF_EPS else 0.0
     return perf, w_net, q_in, q_out
+
+
+def pins_reversed(sys_: CycleSystem, params: dict[str, float]) -> bool:
+    """Whether params reverse a machine's pinned pressures by more than
+    REVERSED_MARGIN.
+
+    Such a point is infeasible without a solve: a converged solution
+    meets each pin to within RESIDUAL_TOL * P_SCALE, so it would reverse
+    that machine too and fail the pressure-direction check, or the solve
+    would not converge.  Equal pinned pressures are not reversed.
+    """
+    return any(sign * (params[p_out] - params[p_in]) < -REVERSED_MARGIN
+               for p_in, p_out, sign in sys_.machine_pins)
 
 
 def evaluate(sys_: CycleSystem, params: dict[str, float],

@@ -225,6 +225,13 @@ def load_model(path) -> MlpModel:
             raise
         raise ModelFormatError(f"malformed mlpv1 document: {exc}") from exc
     check_layers(dims, model.weights, model.biases)
+    for name, width, lo, hi in (
+            ("input_norm", dims[0], model.in_lo, model.in_hi),
+            ("output_norm", dims[-1], model.out_lo, model.out_hi)):
+        if lo.shape != (width,) or hi.shape != (width,):
+            raise ModelFormatError(
+                f"{name} lo/hi need {width} entries each, "
+                f"got shapes {lo.shape} and {hi.shape}")
     return model
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.stats import qmc
 
-from . import fluids, nn
+from . import fluids, nn, sobol
 from .fluids import AnalyticFluid, ClampedEvalMixin, FluidState
 
 SCHEMAS = {
@@ -100,7 +99,7 @@ def generate_dataset(fluid: AnalyticFluid, schema: str, n: int,
     if n <= 0:
         raise ValueError("n must be positive")
     dim = 2 if schema in ("PH2TSQ", "PS2H") else 1
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    sampler = sobol.Sobol(dim, seed)
     u = sampler.random(n)
     if schema in ("PH2TSQ", "PS2H"):
         p = fluids.P_MIN + u[:, 0] * (fluids.P_MAX - fluids.P_MIN)

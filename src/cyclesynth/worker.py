@@ -20,9 +20,8 @@ import numpy as np
 import scipy
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
-from scipy.stats import qmc
 
-from . import decoder, grammar
+from . import decoder, grammar, sobol
 from .seeding import substream
 
 PENALTY = -1.0            # objective value assigned to infeasible points
@@ -200,7 +199,7 @@ def propose_next(model: GpModel, dim: int,
     the first start, in Sobol-score order, with the highest final score,
     the point a one-start-at-a-time descent would return.
     """
-    sob = qmc.Sobol(dim, scramble=True, seed=rng)
+    sob = sobol.Sobol(dim, rng)
     cands = sob.random(N_ACQ_STARTS)
     scores = ucb(model, cands)
     order = np.argsort(-scores, kind="stable")[:N_ACQ_REFINE]
@@ -251,7 +250,7 @@ def maximize(objective, dim: int, budget: WorkerBudget, seed: int,
     """Generic UCB loop; objective maps the unit box to a scalar."""
     rng = substream(seed, tag, "init")
     acq_rng = substream(seed, tag, "acq")
-    sob = qmc.Sobol(dim, scramble=True, seed=rng)
+    sob = sobol.Sobol(dim, rng)
     xs = [sob.random(1)[0] for _ in range(budget.n_init)]
     ys = [float(objective(x)) for x in xs]
     for _ in range(budget.n_iter):
@@ -270,10 +269,16 @@ def _denorm(x: np.ndarray, specs: list[decoder.ParamSpec]) -> dict[str, float]:
 
 def penalized_objective(system: decoder.CycleSystem,
                         specs: list[decoder.ParamSpec]):
-    """Decoded performance with a fixed penalty for infeasible points."""
+    """Decoded performance with a fixed penalty for infeasible points.
+
+    A point whose pinned pressures are reversed is infeasible without a
+    solve (see `decoder.pins_reversed`), so it is not solved.
+    """
 
     def evaluate(x: np.ndarray) -> tuple[float, bool, float, dict[str, float]]:
         params = _denorm(x, specs)
+        if decoder.pins_reversed(system, params):
+            return PENALTY, False, 0.0, params
         res = decoder.evaluate(system, params)
         if not res.feasible:
             return PENALTY, False, 0.0, params

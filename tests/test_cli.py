@@ -197,11 +197,21 @@ def test_unknown_subcommand_rejected():
         cli.main(["frobnicate"])
 
 
-def test_cli_import_does_not_load_networkx():
-    """A fresh `import cyclesynth.cli`, as the console script does it."""
+def _loads_in_fresh_process(imports: str, module: str) -> bool:
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = "import sys, cyclesynth.cli; print('networkx' in sys.modules)"
+    probe = f"import sys, {imports}; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe],
                          env={**os.environ, "PYTHONPATH": src}, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+    return out.split() != ["False"]
+
+
+def test_cli_import_does_not_load_networkx():
+    """A fresh `import cyclesynth.cli`, as the console script does it."""
+    assert not _loads_in_fresh_process("cyclesynth.cli", "networkx")
+
+
+def test_library_import_does_not_load_scipy_stats():
+    """The Worker and the surrogate draw Sobol' points without scipy.stats."""
+    assert not _loads_in_fresh_process("cyclesynth.harness, cyclesynth.cli",
+                                       "scipy.stats")

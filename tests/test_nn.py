@@ -193,3 +193,18 @@ def test_forward_rejects_wrong_input_dim():
     model = nn.init_mlp([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         nn.mlp_forward(model, np.zeros(4))
+
+
+@pytest.mark.parametrize("norm", ["input_norm", "output_norm"])
+def test_load_rejects_normalization_of_the_wrong_width(tmp_path, norm):
+    # a 2-input PS2H network with one lo/hi pair, which numpy would
+    # broadcast over both inputs, and a second output pair it lacks
+    model = nn.init_mlp([2, 5, 1], np.random.default_rng(11), schema="PS2H")
+    path = tmp_path / "model.json"
+    nn.save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc[norm] = ({"lo": [100.0], "hi": [15000.0]} if norm == "input_norm"
+                 else {"lo": [0.0, 0.0], "hi": [1.0, 1.0]})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(nn.ModelFormatError, match=f"{norm} lo/hi need"):
+        nn.load_model(path)

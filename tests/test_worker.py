@@ -400,6 +400,50 @@ def test_penalized_objective_agrees_with_decode():
     assert n_feasible and n_infeasible
 
 
+def test_reversed_pressure_points_skip_the_solve(monkeypatch):
+    # the benchmark's three heat pumps, at Sobol points with some
+    # coordinates clamped to 0 or 1, so that pinned pressures also tie
+    configs = os.path.join(os.path.dirname(harness.__file__), "configs")
+    spec = harness.load_config(os.path.join(configs, "hp_case1.yaml"))
+    bc, fluid, eta = spec.boundary_conditions(), spec.make_fluid(), spec.eta()
+    solves = []
+    full_evaluate = decoder.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        solves.append(1)
+        return full_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "evaluate", counting_evaluate)
+    n_skipped = n_tied = 0
+    for edges in ("CP#1>GC#1;GC#1>EV#1;EV#1>EVAP#1;EVAP#1>CP#1",
+                  "CP#1>GC#1;GC#1>TB#1;TB#1>EVAP#1;EVAP#1>CP#1",
+                  "CP#1>GC#1;GC#1>r#1;r#1>TB#1;TB#1>EVAP#1;"
+                  "EVAP#1>R#1;R#1>CP#1"):
+        g = harness.build_graph(spec.components, edges)
+        system = decoder.CycleSystem(g, bc, fluid, eta)
+        specs = system.parameter_space()
+        evaluate = worker.penalized_objective(system, specs)
+        xs = qmc.Sobol(len(specs), scramble=True, seed=3).random(64)
+        xs[16:32] = np.round(xs[16:32])
+        xs[32:40, :2] = 1.0
+        xs[40:48, :2] = 0.0
+        for x in xs:
+            solves.clear()
+            obj, feas, perf, params = evaluate(x)
+            skipped = not solves
+            tied = params["p_suc_CP#1"] == params["p_dis_CP#1"]
+            res = decoder.decode(g, params, bc, fluid, eta)
+            if skipped:
+                n_skipped += 1
+                assert not res.feasible
+                assert not tied
+            n_tied += tied
+            want = ((res.performance, True, res.performance) if res.feasible
+                    else (worker.PENALTY, False, 0.0))
+            assert (obj, feas, perf) == want
+    assert n_skipped >= 48 and n_tied >= 48
+
+
 def test_cache_hit_skips_evaluation(tmp_path):
     cache = WorkerCache(tmp_path / "cache.jsonl")
     first = optimize_parameters(_brayton(), HE_BC, AnalyticFluid(),
