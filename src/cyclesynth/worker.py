@@ -60,25 +60,33 @@ def _kernel(a: np.ndarray, b: np.ndarray, sigma_f: float,
     """Squared-exponential kernel between the rows of a and of b.
 
     Below PAIRWISE_MIN coordinates the squared distances are summed one
-    coordinate at a time into one (len(a), len(b)) array: zero, then
-    each coordinate's square, from left to right.  That is the order in
-    which numpy reduces `((a[:, None] - b[None]) ** 2).sum(axis=-1)` over
-    so short a last axis, so each entry is the same to the bit, without
-    the (len(a), len(b), dim) temporary, its squaring and its reduction
-    over a short axis, which made up about half of a `gp_predict` call.
-    From PAIRWISE_MIN terms on numpy sums pairwise, in eight partial
-    sums, so wider inputs keep the broadcast form.
+    coordinate at a time into one (len(a), len(b)) array, from left to
+    right.  That is the order in which numpy reduces
+    `((a[:, None] - b[None]) ** 2).sum(axis=-1)` over so short a last
+    axis, from zero; the sum starts from the first coordinate's square
+    instead, which is the same since 0.0 + t == t for every t >= +0.
+    Each entry is therefore the same to the bit, without the
+    (len(a), len(b), dim) temporary, its squaring and its reduction over
+    a short axis, which made up about half of a `gp_predict` call.  From
+    PAIRWISE_MIN terms on numpy sums pairwise, in eight partial sums, so
+    wider inputs keep the broadcast form.  The scaling and the `exp` run
+    in place, in the order `sigma_f ** 2 * exp(-0.5 * d2 / ell ** 2)`.
     """
     if a.shape[1] >= PAIRWISE_MIN:
         d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
     else:
         bt = b.T
-        d2 = np.zeros((len(a), len(b)))
-        for j in range(a.shape[1]):
+        d2 = a[:, :1] - bt[0]
+        d2 *= d2
+        for j in range(1, a.shape[1]):
             d = a[:, j:j + 1] - bt[j]
             d *= d
             d2 += d
-    return sigma_f ** 2 * np.exp(-0.5 * d2 / ell ** 2)
+    d2 *= -0.5
+    d2 /= ell ** 2
+    np.exp(d2, out=d2)
+    d2 *= sigma_f ** 2
+    return d2
 
 
 def gp_fit(x: np.ndarray, y: np.ndarray,
@@ -147,12 +155,15 @@ def pin_solver_threads() -> list[str]:
 def gp_predict(model: GpModel, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation at the rows of xq.
 
-    The rows are padded to a multiple of PREDICT_BLOCK, so a call of up
-    to PREDICT_BLOCK rows always runs the same BLAS shapes.  BLAS orders
-    its arithmetic by the shapes and keeps rows apart, so each row's
-    result is the same, bit for bit, whichever rows share its call;
-    unpadded, a one-row solve and an eight-row solve differ in the last
-    bits, enough to flip a comparison in `propose_next`.
+    The rows are padded with zeros to a multiple of PREDICT_BLOCK (a
+    caller that passes a multiple already is not copied), so calls of
+    up to PREDICT_BLOCK rows always run the same BLAS shapes.  BLAS
+    orders its arithmetic by the shapes and keeps rows apart, so each
+    row's result is the same, bit for bit, whichever rows share its
+    call, and in calls of any size: `propose_next` scores from one to
+    N_ACQ_REFINE * 2 * dim rows a call and relies on it.  Unpadded, a
+    one-row solve and an eight-row solve differ in the last bits, enough
+    to flip a comparison there.
 
     The triangular solve calls LAPACK's `dtrtrs` directly, with the
     arguments `scipy.linalg.solve_triangular` passes it for a C-ordered
@@ -168,21 +179,29 @@ def gp_predict(model: GpModel, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if model.y.size == 0:
         return np.full(n_q, model.mean), np.full(n_q, model.sigma_f)
     if n_q % PREDICT_BLOCK:
-        xq = np.vstack([xq, np.zeros((-n_q % PREDICT_BLOCK, xq.shape[1]))])
+        padded = np.zeros((-(-n_q // PREDICT_BLOCK) * PREDICT_BLOCK,
+                           xq.shape[1]))
+        padded[:n_q] = xq
+        xq = padded
     ks = _kernel(xq, model.x, model.sigma_f, model.lengthscale)
-    mu = model.mean + ks @ model.alpha
+    mu = ks @ model.alpha
+    mu += model.mean
     v, info = dtrtrs(model.chol.T, ks.T, lower=0, trans=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"triangular solve failed: dtrtrs info={info}")
-    var = model.sigma_f ** 2 - (v ** 2).sum(axis=0)
-    return mu[:n_q], np.sqrt(np.maximum(var[:n_q], 0.0))
+    v *= v
+    var = model.sigma_f ** 2 - v.sum(axis=0)
+    np.maximum(var, 0.0, out=var)
+    return mu[:n_q], np.sqrt(var[:n_q], out=var[:n_q])
 
 
 def ucb(model: GpModel, xq: np.ndarray,
         kappa: float = UCB_KAPPA) -> np.ndarray:
     mu, sigma = gp_predict(model, xq)
-    return mu + kappa * sigma
+    sigma *= kappa
+    sigma += mu
+    return sigma
 
 
 def propose_next(model: GpModel, dim: int,
@@ -193,36 +212,73 @@ def propose_next(model: GpModel, dim: int,
     greedy coordinate descent: a sweep tries +step and -step on every
     coordinate in turn and keeps each move that raises the score; a
     sweep without a gain halves the step, and the descent stops once the
-    step is at most 1e-3.  All sweeps visit the same (coordinate, sign)
-    moves in the same order, so the descents run in lockstep: each move
-    scores every live start in one batched `ucb` call.  The winner is
-    the first start, in Sobol-score order, with the highest final score,
-    the point a one-start-at-a-time descent would return.
+    step is at most 1e-3.
+
+    The sweeps run speculatively.  Each `ucb` call scores, for every
+    live start, every move left in its sweep, all from its current
+    point: up to N_ACQ_REFINE * 2 * dim rows.  A start takes the first
+    of those moves, in (coordinate, sign) order, that raises its score,
+    which is the move the greedy descent would accept next, and resumes
+    after it; its rows past that move were scored from the point it just
+    left and are dropped.  A start without such a move ends its sweep,
+    as does one that takes the sweep's last move.  Each start thus makes
+    one call per accepted move plus one per sweep that does not end on
+    an accepted move, against one call per move tried.  As
+    `gp_predict` scores each row the same whichever rows share its call,
+    every accepted point and score is the one-start-at-a-time descent's.
+    The winner is the first start, in Sobol-score order, with the
+    highest final score, the point that descent would return.
     """
     sob = sobol.Sobol(dim, rng)
     cands = sob.random(N_ACQ_STARTS)
     scores = ucb(model, cands)
     order = np.argsort(-scores, kind="stable")[:N_ACQ_REFINE]
-    xs, ss = cands[order], scores[order]
-    steps = np.full(len(order), 0.1)
-    live = np.arange(len(order))
-    while live.size:
-        improved = np.zeros(live.size, dtype=bool)
-        moves = (steps[live], -steps[live])
-        for d in range(dim):
-            for move in moves:
-                cand = xs[live]
-                col = cand[:, d]
-                col += move
-                np.minimum(np.maximum(col, 0.0, out=col), 1.0, out=col)
-                sc = ucb(model, cand)
-                up = sc > ss[live]
-                xs[live[up]] = cand[up]
-                ss[live[up]] = sc[up]
-                improved |= up
-        steps[live[~improved]] *= 0.5
-        live = live[steps[live] > 1e-3]
-    return xs[int(np.argmax(ss))]   # argmax keeps the first of equal maxima
+    x, s = cands[order], scores[order]
+    k = len(order)
+    n_moves = 2 * dim
+    moves = np.arange(n_moves)          # move m: coordinate m // 2,
+    coord = moves >> 1
+    signs = np.tile([1.0, -1.0], dim)   # +step if m is even, else -step
+    after = (moves + 1) % n_moves       # 0: the sweep is over
+    offset = np.full(k, 0.1)[:, None] * signs   # each start's moves
+    # A start's `nxt` is the first move left in its sweep, so 0 also
+    # means that no move of the sweep has gained yet; n_moves means that
+    # the start has stopped.
+    nxt = np.zeros(k, dtype=np.intp)
+    stopped = np.zeros(k, dtype=np.intp)   # n_moves once a start stops
+    table = np.empty((k, n_moves, dim))    # every move of every start
+    rows = table.reshape(-1, dim)
+    at = (np.arange(k)[:, None] * n_moves + moves) * dim + coord
+    scored = np.empty((k, n_moves))
+    # the candidates, padded to a multiple of PREDICT_BLOCK rows; the pad
+    # rows hold earlier candidates, scored apart from the others
+    buf = np.zeros((-(-k * n_moves // PREDICT_BLOCK) * PREDICT_BLOCK, dim))
+    n_live = k
+    while n_live:
+        # the (start, move) rows to score, as flat indices into `table`
+        todo = (moves >= nxt[:, None]).ravel().nonzero()[0]
+        n_rows = len(todo)
+        table[:] = x[:, None, :]
+        col = x.take(coord, axis=1)
+        col += offset
+        np.maximum(col, 0.0, out=col)
+        table.put(at, np.minimum(col, 1.0, out=col))
+        rows.take(todo, axis=0, out=buf[:n_rows])
+        sc = ucb(model, buf[:-(-n_rows // PREDICT_BLOCK) * PREDICT_BLOCK])
+        scored.fill(-np.inf)
+        scored.put(todo, sc[:n_rows])
+        gain = scored > s[:, None]
+        m = gain.argmax(axis=1)         # each start's first gain, if any
+        took = gain.any(axis=1)
+        x[took] = table[took, m[took]]
+        s[took] = scored[took, m[took]]
+        halve = ~took & (nxt == 0)      # the sweep gained nothing
+        if halve.any():
+            offset[halve] *= 0.5
+            stopped[offset[:, 0] <= 1e-3] = n_moves   # step <= 1e-3
+            n_live = k - np.count_nonzero(stopped)
+        nxt = np.where(took, after[m], stopped)
+    return x[int(np.argmax(s))]   # argmax keeps the first of equal maxima
 
 
 @dataclass
@@ -251,7 +307,7 @@ def maximize(objective, dim: int, budget: WorkerBudget, seed: int,
     rng = substream(seed, tag, "init")
     acq_rng = substream(seed, tag, "acq")
     sob = sobol.Sobol(dim, rng)
-    xs = [sob.random(1)[0] for _ in range(budget.n_init)]
+    xs = list(sob.random(budget.n_init))
     ys = [float(objective(x)) for x in xs]
     for _ in range(budget.n_iter):
         model = gp_fit(np.array(xs), np.array(ys))

@@ -126,16 +126,19 @@ def test_gp_matches_dense_solve_at_300_points(dim, scale):
 
 
 def test_gp_predict_row_does_not_depend_on_its_batch():
-    # lockstep acquisition scores up to PREDICT_BLOCK points per call and
-    # must score each exactly as a call of its own would
+    # a speculative sweep scores from 1 to N_ACQ_REFINE * 2 * dim rows
+    # per call and must score each exactly as a call of its own would
     rng = np.random.default_rng(8)
-    for dim, n in [(1, 7), (3, 120), (6, 300)]:
+    for dim, n in [(1, 7), (2, 40), (3, 120), (6, 300), (9, 150)]:
         model = gp_fit(rng.uniform(0, 1, size=(n, dim)), rng.normal(size=n))
-        xq = rng.uniform(0, 1, size=(worker.PREDICT_BLOCK, dim))
-        mu, sigma = gp_predict(model, xq)
-        for k in range(len(xq)):
-            mu_k, sigma_k = gp_predict(model, xq[k:k + 1])
-            assert mu_k[0] == mu[k] and sigma_k[0] == sigma[k]
+        xq = rng.uniform(0, 1, size=(N_ACQ_REFINE * 2 * dim, dim))
+        alone = [gp_predict(model, xq[k:k + 1]) for k in range(len(xq))]
+        mu_1 = np.array([mu[0] for mu, _ in alone])
+        sigma_1 = np.array([sigma[0] for _, sigma in alone])
+        for n_q in range(1, len(xq) + 1):
+            mu, sigma = gp_predict(model, xq[:n_q])
+            np.testing.assert_array_equal(mu, mu_1[:n_q])
+            np.testing.assert_array_equal(sigma, sigma_1[:n_q])
 
 
 def _reference_kernel(a, b, sigma_f, ell):
@@ -204,8 +207,13 @@ def test_gp_predict_raises_on_singular_factor():
 
 # -- acquisition ---------------------------------------------------------
 
-def _propose_next_reference(model, dim, rng):
-    """One coordinate descent after another, one `ucb` call per point."""
+def _propose_next_reference(model, dim, rng, tally=None):
+    """One coordinate descent after another, one `ucb` call per point.
+
+    With a list as `tally`, appends per start the number of moves tried
+    and of speculative-sweep calls: one per accepted move, plus one per
+    sweep whose last move gained nothing.
+    """
     sob = qmc.Sobol(dim, scramble=True, seed=rng)
     cands = sob.random(N_ACQ_STARTS)
     scores = ucb(model, cands)
@@ -215,6 +223,7 @@ def _propose_next_reference(model, dim, rng):
         x = cands[k].copy()
         s = float(scores[k])
         step = 0.1
+        n_tried = n_calls = 0
         while step > 1e-3:
             improved = False
             for d in range(dim):
@@ -222,11 +231,17 @@ def _propose_next_reference(model, dim, rng):
                     cand = x.copy()
                     cand[d] = min(max(cand[d] + sign * step, 0.0), 1.0)
                     sc = float(ucb(model, cand[None, :])[0])
-                    if sc > s:
+                    n_tried += 1
+                    gain = sc > s
+                    if gain:
                         x, s = cand, sc
                         improved = True
+                        n_calls += 1
+            n_calls += not gain
             if not improved:
                 step *= 0.5
+        if tally is not None:
+            tally.append((n_tried, n_calls))
         if s > best_s:
             best_x, best_s = x, s
     return best_x
@@ -263,8 +278,34 @@ def test_propose_next_batches_every_score_through_ucb(monkeypatch):
     # only the patched scores can lead the descent to their peak
     np.testing.assert_allclose(x, 0.37, atol=2e-3)
     assert rows[0] == N_ACQ_STARTS
-    assert rows[1] == N_ACQ_REFINE          # the first move, all starts
-    assert all(1 <= r <= N_ACQ_REFINE for r in rows[1:])
+    full = N_ACQ_REFINE * 2 * 3      # every move of every start
+    assert rows[1] == full
+    assert all(1 <= r <= full for r in rows[1:])
+
+
+@pytest.mark.parametrize("dim,n,seed", [(1, 5, 0), (2, 30, 1), (3, 60, 2),
+                                        (4, 100, 3), (6, 120, 4)])
+def test_propose_next_calls_match_the_sequential_count(monkeypatch, dim, n,
+                                                        seed):
+    # a start's sweeps cost one call per accepted move, plus one for a
+    # sweep whose last move gains nothing; all starts share each call
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, dim))
+    model = gp_fit(x, np.sin(5.0 * x).sum(axis=1) + (x[:, 0] > 0.5))
+    tally = []
+    want = _propose_next_reference(model, dim, np.random.default_rng(seed),
+                                   tally)
+    calls = []
+
+    def counting_ucb(model, xq, kappa=worker.UCB_KAPPA):
+        calls.append(len(xq))
+        return ucb(model, xq, kappa)
+
+    monkeypatch.setattr(worker, "ucb", counting_ucb)
+    got = propose_next(model, dim, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+    assert len(calls) == 1 + max(c for _, c in tally)
+    assert len(calls) - 1 < max(t for t, _ in tally)   # one per move
 
 
 def test_propose_next_stays_in_unit_box():
